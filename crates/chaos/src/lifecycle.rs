@@ -121,6 +121,16 @@ impl FleetFaultPlan {
         }
     }
 
+    /// Fraction of HBM capacity usable by a device in `state`: the
+    /// carveout shrink while `Degraded`, 1.0 otherwise.
+    pub fn capacity_factor(&self, state: HealthState) -> f64 {
+        if state == HealthState::Degraded {
+            self.carveout_shrink
+        } else {
+            1.0
+        }
+    }
+
     /// Whether this plan can produce any episode at all.
     pub fn is_active(&self) -> bool {
         self.intensity > 0.0
@@ -248,6 +258,10 @@ impl Episode {
 
 /// The materialized health history of every device over one serve run:
 /// a pure function of `(plan, devices, horizon)`.
+///
+/// Each device's episode list is sorted and disjoint (an episode returns
+/// to `Healthy` at or before the next one degrades), so every point query
+/// is a binary search: O(log episodes), however long the run.
 #[derive(Debug, Clone)]
 pub struct HealthTimeline {
     plan: FleetFaultPlan,
@@ -283,7 +297,12 @@ impl HealthTimeline {
                             Some(prev) if prev.healthy > t => prev.healthy,
                             _ => t,
                         };
-                        list.push(Episode::starting_at(start, plan));
+                        let next = Episode::starting_at(start, plan);
+                        debug_assert!(
+                            list.last().is_none_or(|prev| prev.healthy <= next.degraded),
+                            "episodes must stay sorted and disjoint"
+                        );
+                        list.push(next);
                     }
                 }
             }
@@ -306,19 +325,26 @@ impl HealthTimeline {
     }
 
     /// The device's health state at `at`.
+    ///
+    /// A device's episodes are sorted and disjoint (`generate` serializes
+    /// overlapping ones back to back), so the only episode that can cover
+    /// `at` is the first one still running after it: a binary search,
+    /// O(log episodes).
     pub fn state(&self, device: usize, at: Nanos) -> HealthState {
-        self.episodes[device]
-            .iter()
-            .find_map(|e| e.state_at(at))
+        let list = &self.episodes[device];
+        list.get(list.partition_point(|e| e.healthy <= at))
+            .and_then(|e| e.state_at(at))
             .unwrap_or(HealthState::Healthy)
     }
 
-    /// Whether the device admits new work at `at`.
+    /// Whether the device admits new work at `at` (one O(log episodes)
+    /// [`state`](Self::state) read).
     pub fn accepts(&self, device: usize, at: Nanos) -> bool {
         self.state(device, at).accepts_work()
     }
 
-    /// GPU-stage service-time multiplier at `at` (1.0 unless degraded).
+    /// GPU-stage service-time multiplier at `at` (1.0 unless degraded;
+    /// one O(log episodes) [`state`](Self::state) read).
     pub fn service_penalty(&self, device: usize, at: Nanos) -> f64 {
         if self.state(device, at) == HealthState::Degraded {
             self.plan.service_penalty
@@ -328,7 +354,8 @@ impl HealthTimeline {
     }
 
     /// Peer-link transfer-time multiplier for a transfer touching
-    /// `device` at `at` (1.0 unless degraded).
+    /// `device` at `at` (1.0 unless degraded; one O(log episodes)
+    /// [`state`](Self::state) read).
     pub fn link_factor(&self, device: usize, at: Nanos) -> f64 {
         if self.state(device, at) == HealthState::Degraded {
             self.plan.link_degrade
@@ -338,22 +365,21 @@ impl HealthTimeline {
     }
 
     /// Fraction of the device's HBM capacity usable at `at` (1.0 unless
-    /// degraded, when the carveout shrinks).
+    /// degraded, when the carveout shrinks; one O(log episodes)
+    /// [`state`](Self::state) read). A caller that already holds the
+    /// state uses [`FleetFaultPlan::capacity_factor`] instead.
     pub fn capacity_factor(&self, device: usize, at: Nanos) -> f64 {
-        if self.state(device, at) == HealthState::Degraded {
-            self.plan.carveout_shrink
-        } else {
-            1.0
-        }
+        self.plan.capacity_factor(self.state(device, at))
     }
 
     /// The earliest hard-down (quarantine) start at or after `at` on
     /// `device`, if any — the preemption horizon for work scheduled now.
+    /// Quarantine starts rise with the sorted, disjoint episode list, so
+    /// this is a binary search too: O(log episodes).
     pub fn next_quarantine_start(&self, device: usize, at: Nanos) -> Option<Nanos> {
-        self.episodes[device]
-            .iter()
+        let list = &self.episodes[device];
+        list.get(list.partition_point(|e| e.quarantined < at))
             .map(|e| e.quarantined)
-            .find(|&q| q >= at)
     }
 
     /// Total time the device is hard-down or draining (not admitting),
@@ -496,6 +522,107 @@ mod tests {
         assert!(tl
             .next_quarantine_start(0, q + Nanos::from_nanos(1))
             .is_none_or(|n| n > q));
+    }
+
+    /// Linear-scan oracle: the first episode covering `at`.
+    fn oracle_state(tl: &HealthTimeline, device: usize, at: Nanos) -> HealthState {
+        tl.episodes[device]
+            .iter()
+            .find_map(|e| e.state_at(at))
+            .unwrap_or(HealthState::Healthy)
+    }
+
+    /// Linear-scan oracle for the next quarantine start.
+    fn oracle_next_quarantine(tl: &HealthTimeline, device: usize, at: Nanos) -> Option<Nanos> {
+        tl.episodes[device]
+            .iter()
+            .map(|e| e.quarantined)
+            .find(|&q| q >= at)
+    }
+
+    fn assert_matches_oracle(tl: &HealthTimeline, device: usize, at: Nanos) {
+        let plan = tl.plan();
+        let want = oracle_state(tl, device, at);
+        let degraded = want == HealthState::Degraded;
+        let pick = |hit: f64| if degraded { hit } else { 1.0 };
+        let ctx = format!(
+            "seed {} intensity {} device {device} at {at:?}",
+            plan.seed, plan.intensity
+        );
+        assert_eq!(tl.state(device, at), want, "state, {ctx}");
+        assert_eq!(
+            tl.accepts(device, at),
+            want.accepts_work(),
+            "accepts, {ctx}"
+        );
+        assert_eq!(
+            tl.service_penalty(device, at),
+            pick(plan.service_penalty),
+            "service_penalty, {ctx}"
+        );
+        assert_eq!(
+            tl.link_factor(device, at),
+            pick(plan.link_degrade),
+            "link_factor, {ctx}"
+        );
+        assert_eq!(
+            tl.capacity_factor(device, at),
+            pick(plan.carveout_shrink),
+            "capacity_factor, {ctx}"
+        );
+        assert_eq!(
+            tl.next_quarantine_start(device, at),
+            oracle_next_quarantine(tl, device, at),
+            "next_quarantine_start, {ctx}"
+        );
+    }
+
+    #[test]
+    fn indexed_queries_match_the_linear_scan() {
+        // Long enough for hundreds of episodes per device even at the
+        // lowest intensity (mean accepted gap 240 ms at 0.25).
+        let horizon = Nanos::from_secs(40);
+        let devices = 4;
+        let one = Nanos::from_nanos(1);
+        for seed in [1, 9, 23, 77] {
+            for intensity in [0.25, 0.5, 1.0] {
+                let plan = FleetFaultPlan::at_intensity(seed, intensity);
+                let tl = HealthTimeline::generate(&plan, devices, horizon);
+                for device in 0..devices {
+                    let list = &tl.episodes[device];
+                    assert!(
+                        list.len() >= 100,
+                        "only {} episodes at seed {seed} intensity {intensity}",
+                        list.len()
+                    );
+                    for pair in list.windows(2) {
+                        assert!(
+                            pair[0].healthy <= pair[1].degraded,
+                            "episodes overlap at seed {seed} intensity {intensity}"
+                        );
+                    }
+                    for e in list {
+                        for edge in [
+                            e.degraded,
+                            e.quarantined,
+                            e.draining,
+                            e.recovered,
+                            e.healthy,
+                        ] {
+                            for at in [edge.saturating_sub(one), edge, edge + one] {
+                                assert_matches_oracle(&tl, device, at);
+                            }
+                        }
+                    }
+                    let mut rng =
+                        SimRng::seed_from_parts(&["lifecycle.oracle", &device.to_string()], seed);
+                    for _ in 0..500 {
+                        let at = Nanos::from_nanos(rng.below(horizon.as_nanos() + 1));
+                        assert_matches_oracle(&tl, device, at);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -162,11 +162,12 @@ impl Experiment {
         if hetsim_trace::session::enabled() {
             return self.runner.run_base(program, mode);
         }
-        let memo_key = program.memo_key();
+        // The memo owns the one key string a lookup builds; only a miss
+        // that goes to the disk cache asks the program for another.
         self.memo
-            .get_or_compute((memo_key.clone(), mode), || match &self.disk {
+            .get_or_compute((program.memo_key(), mode), || match &self.disk {
                 Some(disk) => {
-                    let key = CacheKey::new(&memo_key, mode, self.device_hash);
+                    let key = CacheKey::new(&program.memo_key(), mode, self.device_hash);
                     if let Some(hit) = disk.load(&key) {
                         return hit;
                     }

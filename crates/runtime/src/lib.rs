@@ -40,7 +40,9 @@ pub use hetsim_chaos::{
     LifecycleEvent, LifecyclePhase, RecoveryPolicy, SimError,
 };
 pub use mode::TransferMode;
-pub use program::{BufferRole, BufferSpec, BufferSpecError, GpuProgram, PageTouch};
+pub use program::{
+    format_memo_key, BufferRole, BufferSpec, BufferSpecError, GpuProgram, PageTouch,
+};
 pub use report::RunReport;
 pub use run::{ChaosRunReport, Runner};
 pub use stream::{BufferAccess, Engine, EventId, ScheduleItem, StreamId, StreamSchedule};

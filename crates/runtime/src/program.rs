@@ -200,32 +200,43 @@ pub trait GpuProgram: Sync {
     /// factor. `page_touches` is fully determined by the kernel structure
     /// for every workload in the suite, so it needs no separate encoding.
     fn memo_key(&self) -> String {
-        use std::fmt::Write as _;
-        let mut key = format!("{}|pc={}", self.name(), self.prefetch_conflict());
-        for b in self.buffers() {
-            let _ = write!(key, "|b:{}:{}:{:?}", b.name, b.bytes, b.role);
-        }
-        for k in self.kernels() {
-            let launch = k.launch();
-            let ops = k.tile_ops();
-            let _ = write!(
-                key,
-                "|k:{}:g{}:t{}:s{}:tiles{}:inv{}:{:?}:{:?}:fp{}:int{}:ctl{}",
-                k.name(),
-                launch.grid_blocks,
-                launch.threads_per_block,
-                launch.shared_bytes_per_block,
-                k.tiles_per_block(),
-                k.invocations(),
-                k.regularity(),
-                k.standard_style(),
-                ops.fp,
-                ops.int,
-                ops.control,
-            );
-        }
-        key
+        format_memo_key(self)
     }
+}
+
+/// The [`GpuProgram::memo_key`] string of `program`, as the trait's default
+/// formats it: the name and prefetch-conflict factor, every buffer spec,
+/// and every kernel's structure.
+///
+/// A program that caches its key (the suite's `Workload` does) builds it
+/// with this function, so a cached key equals the default one and
+/// on-disk result-cache entries written under either still hit.
+pub fn format_memo_key<P: GpuProgram + ?Sized>(program: &P) -> String {
+    use std::fmt::Write as _;
+    let mut key = format!("{}|pc={}", program.name(), program.prefetch_conflict());
+    for b in program.buffers() {
+        let _ = write!(key, "|b:{}:{}:{:?}", b.name, b.bytes, b.role);
+    }
+    for k in program.kernels() {
+        let launch = k.launch();
+        let ops = k.tile_ops();
+        let _ = write!(
+            key,
+            "|k:{}:g{}:t{}:s{}:tiles{}:inv{}:{:?}:{:?}:fp{}:int{}:ctl{}",
+            k.name(),
+            launch.grid_blocks,
+            launch.threads_per_block,
+            launch.shared_bytes_per_block,
+            k.tiles_per_block(),
+            k.invocations(),
+            k.regularity(),
+            k.standard_style(),
+            ops.fp,
+            ops.int,
+            ops.control,
+        );
+    }
+    key
 }
 
 #[cfg(test)]

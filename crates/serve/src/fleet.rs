@@ -360,13 +360,16 @@ impl Fleet {
                     let base_capacity = self.topology.capacity(index);
                     let (capacity, health) = match active {
                         Some(r) => {
-                            let f = r.timeline.capacity_factor(index, req.arrival);
+                            // One health read per device; the capacity
+                            // factor follows from the state.
+                            let health = r.timeline.state(index, req.arrival);
+                            let f = r.timeline.plan().capacity_factor(health);
                             let cap = if f < 1.0 {
                                 (base_capacity as f64 * f) as u64
                             } else {
                                 base_capacity
                             };
-                            (cap, r.timeline.state(index, req.arrival))
+                            (cap, health)
                         }
                         None => (base_capacity, HealthState::Healthy),
                     };
@@ -447,12 +450,7 @@ impl Fleet {
                     // queue depth. The walk is bounded by the retry
                     // budget and by the deadline: a hop is only taken if
                     // backoff + re-staging still make the SLO.
-                    let mut order: Vec<usize> = Vec::with_capacity(n);
-                    order.push(placement.device);
-                    let mut rest: Vec<usize> = (0..n).filter(|&i| i != placement.device).collect();
-                    rest.sort_by_key(|&i| (views[i].gpu_free, i));
-                    order.extend(rest);
-                    let max_attempts = (cfg.recovery.max_retries as usize + 1).min(order.len());
+                    let order = retry_order(placement.device, &views, cfg.recovery.max_retries);
 
                     let mut committed: Option<(usize, Nanos, JobStages)> = None;
                     // A primary that can run the request late (degraded
@@ -463,7 +461,7 @@ impl Fleet {
                     let mut hedge_pending = false;
                     let mut saw_viable = false;
 
-                    for (attempt, &cand) in order.iter().take(max_attempts).enumerate() {
+                    for (attempt, &cand) in order.iter().enumerate() {
                         // The hop cost: backoff owed from a previous
                         // failure, plus re-staging the working set over
                         // the (possibly degraded) peer link.
@@ -505,17 +503,13 @@ impl Fleet {
                         let s = &states[cand];
                         let cpu_start = release.max(s.cpu_free);
                         let done = (cpu_start + rs.cpu).max(s.gpu_free) + rs.gpu;
-                        let quarantined_mid_run = tl
+                        if let Some(q) = tl
                             .next_quarantine_start(cand, release)
-                            .map(|q| q <= done)
-                            .unwrap_or(false);
-                        if quarantined_mid_run {
+                            .filter(|&q| q <= done)
+                        {
                             // The attempt started and died mid-run:
                             // backoff, re-staging, and the partial work
                             // are all sunk cost.
-                            let q = tl
-                                .next_quarantine_start(cand, release)
-                                .expect("checked above");
                             recovery.system += hop.system + q.saturating_sub(cpu_start);
                             recovery.memcpy += hop.memcpy;
                             pending_backoff = cfg.recovery.backoff(attempt as u32);
@@ -682,6 +676,26 @@ impl Fleet {
             hedges,
         }
     }
+}
+
+/// The resilient walk's candidate order: `primary`, then at most
+/// `max_retries` peers with the shortest GPU queues, ordered by
+/// `(gpu_free, index)`. That key is a total order, so picking the prefix
+/// with a partial selection and sorting only it gives the same list as
+/// sorting every peer.
+fn retry_order(primary: usize, views: &[DeviceView], max_retries: u32) -> Vec<usize> {
+    let mut order: Vec<usize> = std::iter::once(primary)
+        .chain((0..views.len()).filter(|&i| i != primary))
+        .collect();
+    let peers = &mut order[1..];
+    let k = (max_retries as usize).min(peers.len());
+    let key = |&i: &usize| (views[i].gpu_free, i);
+    if k > 0 && k < peers.len() {
+        peers.select_nth_unstable_by_key(k - 1, key);
+    }
+    peers[..k].sort_unstable_by_key(key);
+    order.truncate(k + 1);
+    order
 }
 
 /// The armed state one resilient run carries: the generated health
@@ -886,6 +900,58 @@ mod tests {
             mix: ArrivalMix::Poisson { rate_rps: 500.0 },
             seed: 11,
             requests,
+        }
+    }
+
+    /// The candidate order before partial selection: every peer sorted.
+    fn full_sort_order(primary: usize, views: &[DeviceView], max_retries: u32) -> Vec<usize> {
+        let mut rest: Vec<usize> = (0..views.len()).filter(|&i| i != primary).collect();
+        rest.sort_by_key(|&i| (views[i].gpu_free, i));
+        let mut order = vec![primary];
+        order.extend(rest);
+        order.truncate(max_retries as usize + 1);
+        order
+    }
+
+    fn views_with_gpu_free(free_ms: &[u64]) -> Vec<DeviceView> {
+        free_ms
+            .iter()
+            .enumerate()
+            .map(|(index, &ms)| DeviceView {
+                index,
+                cpu_free: Nanos::ZERO,
+                gpu_free: Nanos::from_millis(ms),
+                committed: 0,
+                capacity: 1 << 30,
+                inflight: 0,
+                consecutive_failures: 0,
+                health: HealthState::Healthy,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn retry_order_partial_selection_matches_the_full_sort() {
+        // Ties in gpu_free fall back to the device index. The large fleet
+        // is past the sizes where the unstable sorts fall back to
+        // insertion sort, so a lost tie-break shows.
+        let large: Vec<u64> = (0..48).map(|i| (i * 7) % 5).collect();
+        for free_ms in [&[5, 3, 3, 9, 0, 3, 7, 0, 5][..], &large] {
+            let views = views_with_gpu_free(free_ms);
+            let n = views.len() as u32;
+            for primary in 0..views.len() {
+                for max_retries in [0, 1, 2, n / 2, n - 2, n - 1, n, u32::MAX] {
+                    assert_eq!(
+                        retry_order(primary, &views, max_retries),
+                        full_sort_order(primary, &views, max_retries),
+                        "{n} devices, primary {primary}, max_retries {max_retries}"
+                    );
+                }
+            }
+        }
+        let one = views_with_gpu_free(&[4]);
+        for max_retries in [0, 1, 4] {
+            assert_eq!(retry_order(0, &one, max_retries), vec![0]);
         }
     }
 

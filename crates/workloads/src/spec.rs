@@ -12,8 +12,10 @@
 use crate::irregular::TouchModel;
 use hetsim_gpu::kernel::{KernelModel, KernelStyle, LaunchConfig, TileOps};
 use hetsim_mem::addr::MemAccess;
-use hetsim_runtime::{BufferSpec, GpuProgram, PageTouch};
+use hetsim_runtime::{format_memo_key, BufferSpec, GpuProgram, PageTouch};
 use hetsim_uvm::prefetch::Regularity;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Cache-line size the address generators emit at.
 pub const LINE: u64 = 128;
@@ -285,6 +287,24 @@ impl KernelModel for KernelSpec {
     }
 }
 
+/// A workload's memo key, built on first use. It is derived data: it
+/// takes no part in equality or `Debug` output, and a clone carries it
+/// along unchanged.
+#[derive(Clone, Default)]
+struct MemoKeyCache(OnceLock<String>);
+
+impl PartialEq for MemoKeyCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for MemoKeyCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("MemoKeyCache")
+    }
+}
+
 /// A complete workload: buffers + kernel sequence, with a name.
 ///
 /// This is the concrete [`GpuProgram`] type all 21 benchmark constructors
@@ -296,6 +316,9 @@ pub struct Workload {
     kernels: Vec<KernelSpec>,
     prefetch_conflict: f64,
     touch_model: Option<TouchModel>,
+    /// Built lazily, not in `new`: constructing a suite builds no keys,
+    /// and only programs that reach the memo pay for one.
+    memo_key: MemoKeyCache,
 }
 
 impl Workload {
@@ -322,6 +345,7 @@ impl Workload {
             kernels,
             prefetch_conflict,
             touch_model: None,
+            memo_key: MemoKeyCache::default(),
         }
     }
 
@@ -351,6 +375,7 @@ impl Workload {
     /// duplicating the base model.
     pub fn map_kernels(&mut self, f: impl Fn(&KernelSpec) -> KernelSpec) {
         self.kernels = self.kernels.iter().map(f).collect();
+        self.memo_key = MemoKeyCache::default();
     }
 }
 
@@ -369,6 +394,18 @@ impl GpuProgram for Workload {
 
     fn prefetch_conflict(&self) -> f64 {
         self.prefetch_conflict
+    }
+
+    fn footprint(&self) -> u64 {
+        self.buffers.iter().map(|b| b.bytes).sum()
+    }
+
+    /// The default [`format_memo_key`] string, built once per workload.
+    fn memo_key(&self) -> String {
+        self.memo_key
+            .0
+            .get_or_init(|| format_memo_key(self))
+            .clone()
     }
 
     fn page_touches(
@@ -390,6 +427,7 @@ impl GpuProgram for Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::size::InputSize;
     use hetsim_runtime::BufferRole;
 
     fn launch() -> LaunchConfig {
@@ -526,6 +564,92 @@ mod tests {
         assert_eq!(w.kernels().len(), 1);
         assert_eq!(w.prefetch_conflict(), 0.8);
         assert_eq!(w.kernel_specs().len(), 1);
+    }
+
+    /// A view of a workload that keeps the trait's default `memo_key`
+    /// and `footprint`, for comparing the cached overrides against.
+    struct Uncached<'a>(&'a Workload);
+
+    impl GpuProgram for Uncached<'_> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn buffers(&self) -> Vec<BufferSpec> {
+            self.0.buffers()
+        }
+
+        fn kernels(&self) -> Vec<&dyn KernelModel> {
+            self.0.kernels()
+        }
+
+        fn prefetch_conflict(&self) -> f64 {
+            self.0.prefetch_conflict()
+        }
+    }
+
+    const PINNED_KEY: &str =
+        "test|pc=0.8|b:in:1024:Input|k:k:g64:t256:s32768:tiles1:inv1:Regular:Direct:fp0:int0:ctl0";
+
+    #[test]
+    fn memo_key_format_is_pinned() {
+        // The on-disk result cache is keyed by this string: changing its
+        // format orphans every stored entry.
+        let w = Workload::new(
+            "test",
+            vec![BufferSpec::new("in", 1024, BufferRole::Input)],
+            vec![KernelSpec::new("k", launch())],
+            0.8,
+        );
+        assert_eq!(w.memo_key(), PINNED_KEY);
+        assert_eq!(Uncached(&w).memo_key(), PINNED_KEY);
+    }
+
+    #[test]
+    fn cached_key_and_footprint_match_the_defaults_across_the_registry() {
+        for size in InputSize::ALL {
+            for entry in crate::suite::all_entries() {
+                let w = (entry.build)(size);
+                let plain = Uncached(&w);
+                let want = plain.memo_key();
+                assert_eq!(w.memo_key(), want, "{} at {}", entry.name, size.name());
+                assert_eq!(
+                    w.memo_key(),
+                    want,
+                    "cached {} at {}",
+                    entry.name,
+                    size.name()
+                );
+                assert_eq!(w.footprint(), plain.footprint(), "{}", entry.name);
+            }
+        }
+    }
+
+    #[test]
+    fn map_kernels_invalidates_the_cached_key() {
+        let heavier = |k: &KernelSpec| k.clone().with_ops(TileOps::new(7.0, 3.0, 1.0));
+        let mut w = crate::suite::by_name("vector_seq", InputSize::Tiny).expect("registered");
+        let before = w.memo_key();
+        w.map_kernels(heavier);
+        let mut fresh = crate::suite::by_name("vector_seq", InputSize::Tiny).expect("registered");
+        fresh.map_kernels(heavier);
+        assert_ne!(w.memo_key(), before, "a stale key survived map_kernels");
+        assert_eq!(w.memo_key(), fresh.memo_key());
+        assert_eq!(w.memo_key(), Uncached(&w).memo_key());
+        assert_eq!(w, fresh);
+    }
+
+    #[test]
+    fn clones_and_equality_ignore_the_key_cache() {
+        let cold = crate::suite::by_name("lud", InputSize::Small).expect("registered");
+        let warm = cold.clone();
+        let key = warm.memo_key();
+        assert_eq!(warm, cold);
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+        let copy = warm.clone();
+        assert_eq!(copy, cold);
+        assert_eq!(copy.memo_key(), key);
+        assert_eq!(cold.memo_key(), key);
     }
 
     #[test]

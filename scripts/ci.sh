@@ -223,6 +223,18 @@ HETSIM_CACHE="$cachedir" ./target/release/hetsim-cli micro --size tiny --runs 2 
 grep -q '^cache:' "$out/cache_off.err" \
   && { echo "FAIL: --cache off did not override HETSIM_CACHE"; exit 1; }
 
+echo "==> benchmark output gate (perfbench harness tests + seed-1 digests vs golden)"
+# The repository benchmark's output digests are a pure function of the
+# seed; a change that alters any served or simulated figure moves them.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for w in sweep_cold serve_steady serve_chaos; do
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --threads 1 --workload "$w" --seed 1 --seconds 1 --trace 0 2> /dev/null \
+    | grep '^digest '
+done > "$out/perfbench.digest"
+cmp scripts/golden/perfbench.digest "$out/perfbench.digest" \
+  || { echo "FAIL: perfbench digests differ from scripts/golden/perfbench.digest"; exit 1; }
+
 echo "==> bench regression gate (full sweep vs committed baseline, >2x fails)"
 BENCH_RESULT="$out/bench_fresh.json" scripts/bench.sh > "$out/bench_fresh.log" 2>&1 \
   || { echo "FAIL: full bench sweep failed"; tail -20 "$out/bench_fresh.log"; exit 1; }
