@@ -6,6 +6,7 @@ use crate::policy::RecoveryPolicy;
 use hetsim_engine::rng::SimRng;
 use hetsim_engine::time::Nanos;
 use hetsim_trace::Category;
+use std::fmt;
 
 /// The four injected fault classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,12 +188,12 @@ impl ChaosCtx {
     /// Rolls transient failure for one transfer that costs `cost` per
     /// attempt, returning the *extra* time to charge to the memcpy
     /// component: each failed attempt burns the full transfer plus an
-    /// exponential backoff.
+    /// exponential backoff. `site` is formatted only when a fault fires.
     ///
     /// # Errors
     ///
     /// [`SimError::RetryExhausted`] when failures exceed the retry budget.
-    pub fn transfer(&mut self, site: &str, cost: Nanos) -> Result<Nanos, SimError> {
+    pub fn transfer(&mut self, site: impl fmt::Display, cost: Nanos) -> Result<Nanos, SimError> {
         if self.plan.transfer_fault_rate <= 0.0 {
             return Ok(Nanos::ZERO);
         }
@@ -200,7 +201,7 @@ impl ChaosCtx {
         let mut attempt: u32 = 0;
         while self.rng.chance(self.plan.transfer_fault_rate) {
             self.report.transfer_faults += 1;
-            self.emit_instant(FaultKind::TransferFault, site);
+            self.emit_instant(FaultKind::TransferFault, &site);
             if attempt >= self.policy.max_retries {
                 return Err(SimError::RetryExhausted {
                     site: site.to_string(),
@@ -219,13 +220,14 @@ impl ChaosCtx {
 
     /// Rolls ECC-style corruption for one kernel launch that costs `cost`,
     /// returning the extra kernel time: each replay re-runs the kernel
-    /// plus the policy's fixed replay overhead.
+    /// plus the policy's fixed replay overhead. `name` is formatted only
+    /// when corruption fires.
     ///
     /// # Errors
     ///
     /// [`SimError::ReplayExhausted`] when corruption outlasts the replay
     /// budget.
-    pub fn kernel(&mut self, name: &str, cost: Nanos) -> Result<Nanos, SimError> {
+    pub fn kernel(&mut self, name: impl fmt::Display, cost: Nanos) -> Result<Nanos, SimError> {
         if self.plan.kernel_corruption_rate <= 0.0 {
             return Ok(Nanos::ZERO);
         }
@@ -233,7 +235,7 @@ impl ChaosCtx {
         let mut replay: u32 = 0;
         while self.rng.chance(self.plan.kernel_corruption_rate) {
             self.report.corruptions += 1;
-            self.emit_instant(FaultKind::KernelCorruption, name);
+            self.emit_instant(FaultKind::KernelCorruption, &name);
             if replay >= self.policy.max_replays {
                 return Err(SimError::ReplayExhausted {
                     kernel: name.to_string(),
@@ -262,7 +264,7 @@ impl ChaosCtx {
             return Ok(Nanos::ZERO);
         }
         self.report.pinned_failures += 1;
-        self.emit_instant(FaultKind::PinnedAllocFail, site);
+        self.emit_instant(FaultKind::PinnedAllocFail, &site);
         if !self.policy.pinned_fallback {
             return Err(SimError::PinnedAllocFailed {
                 site: site.to_string(),
@@ -290,7 +292,7 @@ impl ChaosCtx {
         }
         if n > 0 {
             self.report.storm_refaults += n;
-            self.emit_instant(FaultKind::StormRefault, "storm");
+            self.emit_instant(FaultKind::StormRefault, &"storm");
         }
         n
     }
@@ -344,7 +346,7 @@ impl ChaosCtx {
     /// Drops a zero-width marker on the `chaos` track of the active trace
     /// session; no-op when tracing is off. Instants never perturb the
     /// per-category span sums the trace layer's additivity contract pins.
-    fn emit_instant(&self, kind: FaultKind, site: &str) {
+    fn emit_instant(&self, kind: FaultKind, site: &dyn fmt::Display) {
         if !hetsim_trace::session::enabled() {
             return;
         }
@@ -394,8 +396,8 @@ mod tests {
             let mut c = heavy_ctx(seed);
             let mut extras = Vec::new();
             for i in 0..32 {
-                extras.push(c.transfer(&format!("t{i}"), Nanos::from_micros(5)));
-                extras.push(c.kernel(&format!("k{i}"), Nanos::from_micros(9)));
+                extras.push(c.transfer(format_args!("t{i}"), Nanos::from_micros(5)));
+                extras.push(c.kernel(format_args!("k{i}"), Nanos::from_micros(9)));
             }
             let _ = c.storm_refaults(1000);
             (extras, c.finish())
@@ -410,10 +412,10 @@ mod tests {
         let mut memcpy = Nanos::ZERO;
         let mut kernel = Nanos::ZERO;
         for i in 0..64 {
-            if let Ok(e) = c.transfer(&format!("t{i}"), Nanos::from_micros(3)) {
+            if let Ok(e) = c.transfer(format_args!("t{i}"), Nanos::from_micros(3)) {
                 memcpy += e;
             }
-            if let Ok(e) = c.kernel(&format!("k{i}"), Nanos::from_micros(4)) {
+            if let Ok(e) = c.kernel(format_args!("k{i}"), Nanos::from_micros(4)) {
                 kernel += e;
             }
         }

@@ -120,11 +120,12 @@ impl fmt::Display for BufferSpec {
 /// One access of a kernel's chunk-granular page-touch sequence, in
 /// temporal order.
 ///
-/// Produced by [`GpuProgram::page_touches`]; the runtime resolves the
-/// buffer-relative chunk index against the buffer's base address and
-/// replays the sequence through the UVM fault batcher, so the *order* of
-/// touches — not just their footprint — decides batching, speculation,
-/// and thrashing behaviour.
+/// Produced by [`GpuProgram::for_each_page_touch`] (or collected by
+/// [`GpuProgram::page_touches`]); the runtime resolves the buffer-relative
+/// chunk index against the buffer's base address and streams each touch
+/// through the UVM fault batcher, so the *order* of touches — not just
+/// their footprint — decides batching, speculation, and thrashing
+/// behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageTouch {
     /// Index into [`GpuProgram::buffers`].
@@ -185,6 +186,29 @@ pub trait GpuProgram: Sync {
         _chunk_size: u64,
     ) -> Option<Vec<PageTouch>> {
         None
+    }
+
+    /// Streams the [`GpuProgram::page_touches`] sequence of `kernel`'s
+    /// `invocation`-th launch into `emit`, touch by touch, returning
+    /// whether there was a sequence at all (`false` exactly when
+    /// `page_touches` returns `None`). The runtime's fault path consumes
+    /// touches this way, so no per-invocation sequence is built.
+    ///
+    /// The default forwards a collected `page_touches`; programs whose
+    /// touch model generates its sequence on the fly override it (and
+    /// implement `page_touches` by collecting it).
+    fn for_each_page_touch(
+        &self,
+        kernel: usize,
+        invocation: u64,
+        chunk_size: u64,
+        emit: &mut dyn FnMut(PageTouch),
+    ) -> bool {
+        let Some(touches) = self.page_touches(kernel, invocation, chunk_size) else {
+            return false;
+        };
+        touches.into_iter().for_each(emit);
+        true
     }
 
     /// A structural fingerprint suitable as a memoization key for base

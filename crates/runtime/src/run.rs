@@ -3,7 +3,7 @@
 
 use crate::device::Device;
 use crate::mode::TransferMode;
-use crate::program::{BufferSpec, GpuProgram, PageTouch};
+use crate::program::{BufferRole, BufferSpec, GpuProgram, PageTouch};
 use crate::report::RunReport;
 use hetsim_chaos::{ChaosCtx, ChaosReport, FaultPlan, RecoveryPolicy, SimError};
 use hetsim_counters::{CounterSet, Occupancy};
@@ -13,9 +13,12 @@ use hetsim_gpu::exec::{ExecEnv, KernelExecutor};
 use hetsim_mem::addr::Addr;
 use hetsim_mem::link::LinkPath;
 use hetsim_trace::{Category, Dim};
+use hetsim_uvm::page::ChunkId;
 use hetsim_uvm::prefetch::PrefetchModel;
 use hetsim_uvm::space::UvmSpace;
+use hetsim_uvm::ChunkTouch;
 use std::borrow::Cow;
+use std::fmt;
 
 /// Sets one ambient label dimension on the active trace session: every
 /// event recorded from here on carries it. No-op when tracing is off.
@@ -50,11 +53,13 @@ impl Drop for LabelScope {
 /// `Nanos` the runner adds to a report component goes through exactly one
 /// `trace_phase` call with the matching category, so per-category span sums
 /// reproduce the report breakdown to the nanosecond.
-fn trace_phase(cat: Category, name: impl Into<Cow<'static, str>>, dur: Nanos) {
+fn trace_phase(cat: Category, name: fmt::Arguments<'_>, dur: Nanos) {
     if dur.is_zero() || !hetsim_trace::session::enabled() {
         return;
     }
-    let name = name.into();
+    let name: Cow<'static, str> = name
+        .as_str()
+        .map_or_else(|| name.to_string().into(), Cow::Borrowed);
     hetsim_trace::session::with(|b| {
         let track = b.track("runtime");
         b.phase_span(track, cat, name, dur.as_nanos());
@@ -67,32 +72,37 @@ fn trace_phase(cat: Category, name: impl Into<Cow<'static, str>>, dur: Nanos) {
 /// models.
 const MAX_SEQUENCED_ROUNDS: u64 = 64;
 
-/// Resolves buffer-relative [`PageTouch`]es into absolute [`ChunkTouch`]es
-/// against the run's buffer layout. Touches on `Scratch` buffers are
-/// dropped (device-only memory never far-faults against the host) and
-/// chunk indices are clamped into the buffer's chunk count.
-fn resolve_touches(
-    touches: &[PageTouch],
-    buffers: &[BufferSpec],
-    bases: &[Addr],
-    chunk_size: u64,
-) -> Vec<hetsim_uvm::ChunkTouch> {
-    use hetsim_uvm::page::ChunkId;
-    let mut seq = Vec::with_capacity(touches.len());
-    for t in touches {
-        let b = &buffers[t.buffer];
-        if matches!(b.role, crate::program::BufferRole::Scratch) {
-            continue;
+/// One buffer of a UVM run's layout, resolved once per run for the touch
+/// stream: [`PageTouch`]es against it become absolute [`ChunkTouch`]es.
+#[derive(Debug, Clone, Copy)]
+struct TouchTarget {
+    /// First chunk of the buffer's base address.
+    first_chunk: u64,
+    /// The buffer's chunk count; touch indices are clamped into it.
+    chunks: u64,
+    /// Device-only scratch never far-faults against the host, so its
+    /// touches are dropped.
+    scratch: bool,
+    /// Host-initialized data migrates when it faults.
+    host_backed: bool,
+}
+
+impl TouchTarget {
+    fn resolve(&self, t: PageTouch) -> Option<ChunkTouch> {
+        if self.scratch {
+            return None;
         }
-        let nchunks = b.bytes.div_ceil(chunk_size).max(1);
-        let idx = t.chunk % nchunks;
-        seq.push(hetsim_uvm::ChunkTouch {
-            chunk: ChunkId::new(bases[t.buffer].as_u64() / chunk_size + idx),
+        let idx = if t.chunk < self.chunks {
+            t.chunk
+        } else {
+            t.chunk % self.chunks
+        };
+        Some(ChunkTouch {
+            chunk: ChunkId::new(self.first_chunk + idx),
             write: t.write,
-            host_backed: b.role.is_input(),
-        });
+            host_backed: self.host_backed,
+        })
     }
-    seq
 }
 
 /// Runs programs on a simulated device.
@@ -310,7 +320,7 @@ impl Runner {
         let mut alloc = Nanos::ZERO;
         for b in &buffers {
             let t = dev.alloc.alloc_and_free(b.bytes, mode.uses_uvm());
-            trace_phase(Category::Alloc, format!("alloc({})", b.name), t);
+            trace_phase(Category::Alloc, format_args!("alloc({})", b.name), t);
             alloc += t;
         }
 
@@ -326,7 +336,11 @@ impl Runner {
                 .sum();
             let fallback = dev.alloc.alloc_and_free(staging.max(1), false);
             let extra = ctx.pinned_alloc("staging", fallback)?;
-            trace_phase(Category::Alloc, "chaos_pinned_fallback", extra);
+            trace_phase(
+                Category::Alloc,
+                format_args!("chaos_pinned_fallback"),
+                extra,
+            );
         }
 
         let mut counters = CounterSet::new();
@@ -351,11 +365,15 @@ impl Runner {
             let t = dev
                 .alloc
                 .managed_teardown(program.footprint(), demand_fraction);
-            trace_phase(Category::Alloc, "managed_teardown", t);
+            trace_phase(Category::Alloc, format_args!("managed_teardown"), t);
             alloc += t;
         }
 
-        trace_phase(Category::Engine, "system_overhead", dev.system_overhead);
+        trace_phase(
+            Category::Engine,
+            format_args!("system_overhead"),
+            dev.system_overhead,
+        );
 
         let mut report = RunReport {
             alloc,
@@ -424,12 +442,12 @@ impl Runner {
                 set_label(Dim::Stream, "h2d");
                 let t = dev.link.record_transfer(LinkPath::PageableCopy, b.bytes);
                 counters.transfer.record_h2d_copy(b.bytes, t);
-                trace_phase(Category::Memcpy, format!("memcpy_h2d({})", b.name), t);
+                trace_phase(Category::Memcpy, format_args!("memcpy_h2d({})", b.name), t);
                 memcpy += t;
-                let extra = ctx.transfer(&format!("memcpy_h2d({})", b.name), t)?;
+                let extra = ctx.transfer(format_args!("memcpy_h2d({})", b.name), t)?;
                 trace_phase(
                     Category::Memcpy,
-                    format!("chaos_retry_h2d({})", b.name),
+                    format_args!("chaos_retry_h2d({})", b.name),
                     extra,
                 );
             }
@@ -437,12 +455,12 @@ impl Runner {
                 set_label(Dim::Stream, "d2h");
                 let t = dev.link.record_transfer(LinkPath::PageableCopy, b.bytes);
                 counters.transfer.record_d2h_copy(b.bytes, t);
-                trace_phase(Category::Memcpy, format!("memcpy_d2h({})", b.name), t);
+                trace_phase(Category::Memcpy, format_args!("memcpy_d2h({})", b.name), t);
                 memcpy += t;
-                let extra = ctx.transfer(&format!("memcpy_d2h({})", b.name), t)?;
+                let extra = ctx.transfer(format_args!("memcpy_d2h({})", b.name), t)?;
                 trace_phase(
                     Category::Memcpy,
-                    format!("chaos_retry_d2h({})", b.name),
+                    format_args!("chaos_retry_d2h({})", b.name),
                     extra,
                 );
             }
@@ -455,13 +473,13 @@ impl Runner {
             let style = mode.kernel_style(k.standard_style());
             let r = self.executor.execute(*k, style, &env);
             let inv = k.invocations().max(1);
-            trace_phase(Category::Kernel, k.name().to_string(), r.time * inv);
+            trace_phase(Category::Kernel, format_args!("{}", k.name()), r.time * inv);
             kernel += r.time * inv;
             merge_kernel_counters(counters, &r, inv);
             let extra = ctx.kernel(k.name(), r.time * inv)?;
             trace_phase(
                 Category::Kernel,
-                format!("chaos_replay({})", k.name()),
+                format_args!("chaos_replay({})", k.name()),
                 extra,
             );
         }
@@ -491,6 +509,17 @@ impl Runner {
         for (b, &base) in buffers.iter().zip(&bases) {
             space.managed_alloc(base, b.bytes);
         }
+        let chunk_size = dev.uvm.chunk_size;
+        let targets: Vec<TouchTarget> = buffers
+            .iter()
+            .zip(&bases)
+            .map(|(b, base)| TouchTarget {
+                first_chunk: base.as_u64() / chunk_size,
+                chunks: b.bytes.div_ceil(chunk_size).max(1),
+                scratch: b.role == BufferRole::Scratch,
+                host_backed: b.role.is_input(),
+            })
+            .collect();
 
         let mut memcpy = Nanos::ZERO;
         let mut kernel = Nanos::ZERO;
@@ -548,12 +577,12 @@ impl Runner {
                     counters
                         .transfer
                         .record_prefetch((b.bytes as f64 * coverage) as u64, t);
-                    trace_phase(Category::Memcpy, format!("prefetch({})", b.name), t);
+                    trace_phase(Category::Memcpy, format_args!("prefetch({})", b.name), t);
                     memcpy += t;
-                    let extra = ctx.transfer(&format!("prefetch({})", b.name), t)?;
+                    let extra = ctx.transfer(format_args!("prefetch({})", b.name), t)?;
                     trace_phase(
                         Category::Memcpy,
-                        format!("chaos_retry_prefetch({})", b.name),
+                        format_args!("chaos_retry_prefetch({})", b.name),
                         extra,
                     );
                 }
@@ -589,13 +618,13 @@ impl Runner {
             let style = mode.kernel_style(k.standard_style());
             let r = self.executor.execute(*k, style, &env);
             let inv = k.invocations().max(1);
-            trace_phase(Category::Kernel, k.name().to_string(), r.time * inv);
+            trace_phase(Category::Kernel, format_args!("{}", k.name()), r.time * inv);
             kernel += r.time * inv;
             merge_kernel_counters(counters, &r, inv);
             let extra = ctx.kernel(k.name(), r.time * inv)?;
             trace_phase(
                 Category::Kernel,
-                format!("chaos_replay({})", k.name()),
+                format_args!("chaos_replay({})", k.name()),
                 extra,
             );
 
@@ -607,7 +636,7 @@ impl Runner {
             let mut stall = conflict_refault.stall;
             trace_phase(
                 Category::Memcpy,
-                "conflict_migration",
+                format_args!("conflict_migration"),
                 conflict_refault.transfer,
             );
             memcpy += conflict_refault.transfer;
@@ -617,26 +646,31 @@ impl Runner {
             );
             let mut sequenced = false;
             for inv in 0..k.invocations().min(MAX_SEQUENCED_ROUNDS) {
-                let Some(touches) = program.page_touches(ki, inv, dev.uvm.chunk_size) else {
+                let mut session = space.touch_session();
+                let produced = program.for_each_page_touch(ki, inv, chunk_size, &mut |t| {
+                    if let Some(c) = targets[t.buffer].resolve(t) {
+                        session.touch(c);
+                    }
+                });
+                let fr = session.finish(&dev.link);
+                if !produced {
                     break;
-                };
+                }
                 sequenced = true;
-                let seq = resolve_touches(&touches, buffers, &bases, dev.uvm.chunk_size);
-                let fr = space.demand_touch_sequence(&seq, &dev.link);
                 stall += fr.stall;
                 counters
                     .transfer
-                    .record_migration(fr.chunks * dev.uvm.chunk_size, fr.transfer);
+                    .record_migration(fr.chunks * chunk_size, fr.transfer);
                 trace_phase(
                     Category::Memcpy,
-                    format!("migration({}#{inv})", k.name()),
+                    format_args!("migration({}#{inv})", k.name()),
                     fr.transfer,
                 );
                 memcpy += fr.transfer;
             }
             if !sequenced {
                 for (b, &base) in buffers.iter().zip(&bases) {
-                    if matches!(b.role, crate::program::BufferRole::Scratch) {
+                    if b.role == BufferRole::Scratch {
                         continue;
                     }
                     let fr = space.demand_touch_range(
@@ -651,7 +685,7 @@ impl Runner {
                     counters
                         .transfer
                         .record_migration(fr.chunks * dev.uvm.chunk_size, t);
-                    trace_phase(Category::Memcpy, format!("migration({})", b.name), t);
+                    trace_phase(Category::Memcpy, format_args!("migration({})", b.name), t);
                     memcpy += t;
                 }
             }
@@ -660,7 +694,7 @@ impl Runner {
             // span so the stall cost is separable in the viewer.
             set_label(Dim::Stream, "compute");
             let exposed = stall.scale(1.0 / dev.fault_stall_overlap);
-            trace_phase(Category::Kernel, "fault_stall", exposed);
+            trace_phase(Category::Kernel, format_args!("fault_stall"), exposed);
             kernel += exposed;
 
             // Injected fault-storm pressure: synthetic refaults against
@@ -682,9 +716,17 @@ impl Runner {
                         .link
                         .transfer_time(LinkPath::DemandMigration, refaults * chunk);
                     ctx.record_storm(storm_stall, storm_transfer);
-                    trace_phase(Category::Kernel, "chaos_storm_stall", storm_stall);
+                    trace_phase(
+                        Category::Kernel,
+                        format_args!("chaos_storm_stall"),
+                        storm_stall,
+                    );
                     set_label(Dim::Stream, "h2d");
-                    trace_phase(Category::Memcpy, "chaos_storm_migration", storm_transfer);
+                    trace_phase(
+                        Category::Memcpy,
+                        format_args!("chaos_storm_migration"),
+                        storm_transfer,
+                    );
                     set_label(Dim::Stream, "compute");
                 }
             }
@@ -701,12 +743,12 @@ impl Runner {
                 };
                 let t = space.writeback_dirty(base, b.bytes, path, &dev.link);
                 counters.transfer.record_writeback(b.bytes, t);
-                trace_phase(Category::Memcpy, format!("writeback({})", b.name), t);
+                trace_phase(Category::Memcpy, format_args!("writeback({})", b.name), t);
                 memcpy += t;
-                let extra = ctx.transfer(&format!("writeback({})", b.name), t)?;
+                let extra = ctx.transfer(format_args!("writeback({})", b.name), t)?;
                 trace_phase(
                     Category::Memcpy,
-                    format!("chaos_retry_writeback({})", b.name),
+                    format_args!("chaos_retry_writeback({})", b.name),
                     extra,
                 );
             }
@@ -716,7 +758,7 @@ impl Runner {
         // link; charge their DMA time as transfer.
         trace_phase(
             Category::Memcpy,
-            "eviction_transfer",
+            format_args!("eviction_transfer"),
             space.eviction_transfer(),
         );
         memcpy += space.eviction_transfer();

@@ -8,9 +8,10 @@
 //! chunks migrate over the interconnect. `cudaMemPrefetchAsync` moves whole
 //! ranges ahead of time instead. This crate models that machinery:
 //!
-//! * [`page`] — page/chunk identifiers and residency state;
-//! * [`table`] — the per-device page table with residency tracking and
-//!   LRU chunk eviction for oversubscription;
+//! * [`page`] — page/chunk identifiers and chunk ranges;
+//! * [`table`] — the per-device page table: range-registered dense
+//!   regions, one-lookup accesses with an in-slot refault bit, and
+//!   stamp-ordered LRU chunk eviction for oversubscription;
 //! * [`fault`] — far-fault generation and batched servicing (the source of
 //!   the paper's 2–2.2× `uvm` kernel-time inflation);
 //! * [`prefetch`] — explicit range prefetch plus the access-regularity
@@ -21,7 +22,8 @@
 //!   temporal touch sequences;
 //! * [`touch`] — temporal-order demand touching: partial fault batches,
 //!   drain gaps, and refault (thrashing) tracking for irregular-access
-//!   workloads;
+//!   workloads, streamed touch by touch through a
+//!   [`TouchSession`];
 //! * [`space`] — [`UvmSpace`], the façade the runtime drives.
 
 #![forbid(unsafe_code)]
@@ -37,8 +39,8 @@ pub mod touch;
 
 pub use fault::{FaultConfig, FaultReport};
 pub use heuristic::HeuristicPrefetcher;
-pub use page::{ChunkId, Residency};
+pub use page::ChunkId;
 pub use prefetch::{PrefetchModel, Regularity};
-pub use space::{UvmConfig, UvmSpace};
-pub use table::PageTable;
+pub use space::{TouchSession, UvmConfig, UvmSpace};
+pub use table::{Access, PageTable};
 pub use touch::{ChunkTouch, TouchConfig};

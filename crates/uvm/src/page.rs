@@ -1,4 +1,4 @@
-//! Page/chunk identifiers and residency state.
+//! Page/chunk identifiers and chunk ranges.
 //!
 //! The driver tracks residency and migrates data at a coarser granularity
 //! than the 4 KB architectural page — 64 KB chunks by default here, matching
@@ -46,13 +46,21 @@ impl fmt::Display for ChunkId {
     }
 }
 
-/// Where a chunk's backing memory currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Residency {
-    /// Resident in host DRAM (the initial state of managed memory).
-    Host,
-    /// Resident in device (GPU) memory.
-    Device,
+/// The first chunk and the number of chunks overlapped by
+/// `[base, base + bytes)`.
+///
+/// # Panics
+///
+/// Panics if `chunk_size` is zero.
+pub fn chunk_span(base: Addr, bytes: u64, chunk_size: u64) -> (ChunkId, u64) {
+    assert!(chunk_size > 0, "chunk size must be non-zero");
+    let first = base.as_u64() / chunk_size;
+    let last = if bytes == 0 {
+        first
+    } else {
+        (base.as_u64() + bytes - 1) / chunk_size + 1
+    };
+    (ChunkId(first), last - first)
 }
 
 /// Enumerates the chunks overlapped by `[base, base + bytes)`.
@@ -65,15 +73,13 @@ pub enum Residency {
 /// let ids: Vec<_> = chunks_of_range(Addr::new(0), 2 * CHUNK_SIZE + 1, CHUNK_SIZE).collect();
 /// assert_eq!(ids.len(), 3);
 /// ```
-pub fn chunks_of_range(base: Addr, bytes: u64, chunk_size: u64) -> impl Iterator<Item = ChunkId> {
-    assert!(chunk_size > 0, "chunk size must be non-zero");
-    let first = base.as_u64() / chunk_size;
-    let last = if bytes == 0 {
-        first
-    } else {
-        (base.as_u64() + bytes - 1) / chunk_size + 1
-    };
-    (first..last).map(ChunkId::new)
+pub fn chunks_of_range(
+    base: Addr,
+    bytes: u64,
+    chunk_size: u64,
+) -> impl DoubleEndedIterator<Item = ChunkId> {
+    let (first, count) = chunk_span(base, bytes, chunk_size);
+    (first.0..first.0 + count).map(ChunkId::new)
 }
 
 #[cfg(test)]

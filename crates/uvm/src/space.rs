@@ -5,14 +5,13 @@
 //! CPU↔GPU link, and accumulates [`UvmCounters`].
 
 use crate::fault::{FaultConfig, FaultReport};
-use crate::page::{chunks_of_range, ChunkId, CHUNK_SIZE};
-use crate::table::PageTable;
+use crate::page::{chunk_span, chunks_of_range, ChunkId, CHUNK_SIZE};
+use crate::table::{Access, PageTable, SlotRef};
 use crate::touch::{ChunkTouch, FaultBatcher, TouchConfig};
 use hetsim_counters::UvmCounters;
 use hetsim_engine::time::Nanos;
 use hetsim_mem::addr::Addr;
 use hetsim_mem::link::{CpuGpuLink, LinkPath};
-use std::collections::HashSet;
 
 /// Configuration of a UVM space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,11 +53,6 @@ pub struct UvmSpace {
     counters: UvmCounters,
     resident_bytes: u64,
     eviction_transfer: Nanos,
-    /// Chunks that have left the device at least once (LRU eviction or
-    /// prefetch displacement): a later fault on one of these is a
-    /// *refault* — the thrashing signature of re-touch workloads under
-    /// memory pressure.
-    evicted_once: HashSet<ChunkId>,
 }
 
 impl UvmSpace {
@@ -70,7 +64,6 @@ impl UvmSpace {
             counters: UvmCounters::new(),
             resident_bytes: 0,
             eviction_transfer: Nanos::ZERO,
-            evicted_once: HashSet::new(),
         }
     }
 
@@ -82,14 +75,10 @@ impl UvmSpace {
     /// Registers a managed allocation (`cudaMallocManaged`). Data starts
     /// host-resident; no transfer happens yet.
     pub fn managed_alloc(&mut self, base: Addr, bytes: u64) {
-        for c in chunks_of_range(base, bytes, self.config.chunk_size) {
-            if self.table.is_resident(c) {
-                // Address reuse: drop the stale residency accounting.
-                self.resident_bytes -= self.config.chunk_size;
-            }
-            self.evicted_once.remove(&c);
-            self.table.register(c);
-        }
+        let (first, count) = chunk_span(base, bytes, self.config.chunk_size);
+        // Address reuse drops the stale residency accounting.
+        let stale = self.table.register_range(first, count);
+        self.resident_bytes -= stale * self.config.chunk_size;
     }
 
     /// Explicitly prefetches a range (`cudaMemPrefetchAsync` plus the
@@ -111,14 +100,21 @@ impl UvmSpace {
         link: &CpuGpuLink,
     ) -> Nanos {
         assert!((0.0..=1.0).contains(&coverage), "coverage out of [0,1]");
-        let pending: Vec<ChunkId> = chunks_of_range(base, bytes, self.config.chunk_size)
-            .filter(|&c| !self.table.is_resident(c))
-            .collect();
-        let n = (pending.len() as f64 * coverage).round() as usize;
+        let (first, count) = chunk_span(base, bytes, self.config.chunk_size);
+        let pending = count - self.table.resident_in(first, count);
+        let n = (pending as f64 * coverage).round() as u64;
+        // Making chunks resident can evict others of this range; the walk
+        // covers the chunks that were off the device when it began.
+        let since = self.table.clock();
         let mut moved = 0u64;
-        for &c in pending.iter().take(n) {
-            self.make_resident(c);
-            moved += 1;
+        for c in chunks_of_range(base, bytes, self.config.chunk_size) {
+            if moved == n {
+                break;
+            }
+            if self.table.off_device_since(c, since) {
+                self.make_resident(c);
+                moved += 1;
+            }
         }
         if moved == 0 {
             return Nanos::ZERO;
@@ -166,14 +162,11 @@ impl UvmSpace {
         let mut faulted = 0u64;
         let mut refaults = 0u64;
         for c in chunks_of_range(base, bytes, self.config.chunk_size) {
-            if !self.table.is_resident(c) {
-                if self.evicted_once.contains(&c) {
-                    refaults += 1;
-                }
-                self.make_resident(c);
+            if let (r, Access::Fault { refault }) = self.table.access_slot(c, write) {
+                refaults += refault as u64;
+                self.make_resident_at(r);
                 faulted += 1;
             }
-            self.table.touch(c, write);
         }
         if faulted == 0 {
             return FaultReport::default();
@@ -236,135 +229,37 @@ impl UvmSpace {
         }
     }
 
+    /// Opens a streaming fault-batcher session: the touches of one kernel
+    /// invocation, fed in temporal order through [`TouchSession::touch`]
+    /// and serviced by [`TouchSession::finish`]. Callers that hold a
+    /// sequence as a slice use [`UvmSpace::demand_touch_sequence`].
+    pub fn touch_session(&mut self) -> TouchSession<'_> {
+        TouchSession {
+            batcher: FaultBatcher::new(self.config.fault, self.config.touch),
+            space: self,
+            spec_block: 1,
+            last_fault: None,
+            faulted: 0,
+            migrated: 0,
+            heuristic_pages: 0,
+            refaults: 0,
+        }
+    }
+
     /// Demand-touches chunks in the *temporal order* a kernel accesses
     /// them — the path irregular workloads use instead of
-    /// [`UvmSpace::demand_touch_range`]'s address-ordered sweep.
-    ///
-    /// Three mechanisms the range walk cannot express fire here:
-    ///
-    /// * **Partial batches** — a [`FaultBatcher`] retires a batch when it
-    ///   fills *or* when [`TouchConfig::drain_gap`] resident accesses pass
-    ///   without a fault, so scattered faults pay the fixed batch latency
-    ///   over small fills (§2.1's batched servicing under the worst case).
-    /// * **Region-growing speculation** — the driver heuristic of
-    ///   [`crate::heuristic`]: a fault adjacent to the previous one doubles
-    ///   a speculative migration block (capped at
-    ///   [`TouchConfig::max_spec_block`]); a jump resets it. Sequential
-    ///   phases inside an irregular stream are covered cheaply; scattered
-    ///   phases defeat the doubling.
-    /// * **Refaults** — faults on chunks that were evicted or displaced
-    ///   earlier count as thrashing in the [`UvmCounters`].
-    ///
-    /// Speculatively migrated chunks only cross the link when the touch is
-    /// `host_backed`; either way they count toward the heuristic-pages
-    /// counter. Touches to unmanaged chunks are a simulator bug and panic,
-    /// matching the page-table contract.
+    /// [`UvmSpace::demand_touch_range`]'s address-ordered sweep. Runs one
+    /// [`TouchSession`] over the slice; see it for the fault model.
     pub fn demand_touch_sequence(
         &mut self,
         touches: &[ChunkTouch],
         link: &CpuGpuLink,
     ) -> FaultReport {
-        let tc = self.config.touch;
-        let mut batcher = FaultBatcher::new(self.config.fault, tc);
-        let mut spec_block: u64 = 1;
-        let mut last_fault: Option<u64> = None;
-        let mut faulted = 0u64;
-        let mut migrated = 0u64; // chunks crossing the link
-        let mut heuristic_pages = 0u64;
-        let mut refaults = 0u64;
-        for t in touches {
-            if self.table.is_resident(t.chunk) {
-                self.table.touch(t.chunk, t.write);
-                batcher.hit();
-                continue;
-            }
-            faulted += 1;
-            if self.evicted_once.contains(&t.chunk) {
-                refaults += 1;
-            }
-            batcher.fault();
-            let idx = t.chunk.index();
-            let adjacent = last_fault.is_some_and(|p| idx.abs_diff(p) <= spec_block.max(4));
-            spec_block = if adjacent {
-                (spec_block * 2).min(tc.max_spec_block.max(1))
-            } else {
-                1
-            };
-            last_fault = Some(idx);
-            self.make_resident(t.chunk);
-            self.table.touch(t.chunk, t.write);
-            if t.host_backed {
-                migrated += 1;
-            }
-            // The speculative block after the faulting chunk, clipped to
-            // the managed range.
-            for c in idx + 1..idx + spec_block {
-                let spec = ChunkId::new(c);
-                if self.table.is_managed(spec) && !self.table.is_resident(spec) {
-                    self.make_resident(spec);
-                    heuristic_pages += 1;
-                    if t.host_backed {
-                        migrated += 1;
-                    }
-                }
-            }
+        let mut session = self.touch_session();
+        for &t in touches {
+            session.touch(t);
         }
-        if faulted == 0 {
-            return FaultReport::default();
-        }
-        let fills = batcher.finish();
-        let mut stall = Nanos::ZERO;
-        for &fill in &fills {
-            let s = self.config.fault.batch_latency + self.config.fault.per_fault * fill as u64;
-            stall += s;
-            self.counters.record_fault_batch(fill as u64, s);
-            self.counters.record_batch_fill(fill as u64);
-        }
-        self.counters.record_refaults(refaults);
-        self.counters.record_heuristic_pages(heuristic_pages);
-        let transfer = if migrated > 0 {
-            self.counters.record_migrated_pages(migrated);
-            link.record_chunked_transfer(
-                LinkPath::DemandMigration,
-                migrated * self.config.chunk_size,
-                self.config.chunk_size * self.config.fault.batch_capacity as u64,
-            )
-        } else {
-            Nanos::ZERO
-        };
-        hetsim_trace::session::with(|b| {
-            let track = b.track("uvm");
-            b.detail_span(
-                track,
-                hetsim_trace::Category::FaultBatch,
-                "fault_batch_seq",
-                stall.as_nanos(),
-                Some(("chunks", faulted as f64)),
-            );
-            if !transfer.is_zero() {
-                b.detail_span(
-                    track,
-                    hetsim_trace::Category::Migration,
-                    "migration",
-                    transfer.as_nanos(),
-                    Some(("chunks", migrated as f64)),
-                );
-            }
-            b.counter_on(track, "uvm.page_faults", self.counters.page_faults() as f64);
-            b.counter_on(
-                track,
-                "uvm.pages_migrated",
-                self.counters.pages_migrated() as f64,
-            );
-            b.counter_on(track, "uvm.refaults", self.counters.refaults() as f64);
-            b.counter_on(track, "uvm.resident_bytes", self.resident_bytes as f64);
-        });
-        FaultReport {
-            chunks: faulted,
-            batches: fills.len() as u64,
-            stall,
-            transfer,
-        }
+        session.finish(link)
     }
 
     /// Writes dirty device-resident chunks of a range back to the host
@@ -380,30 +275,12 @@ impl UvmSpace {
         path: LinkPath,
         link: &CpuGpuLink,
     ) -> Nanos {
-        let first = base.as_u64() / self.config.chunk_size;
-        let last = if bytes == 0 {
-            first
-        } else {
-            (base.as_u64() + bytes - 1) / self.config.chunk_size + 1
-        };
-        let dirty: Vec<ChunkId> = self
-            .table
-            .dirty_resident()
-            .into_iter()
-            .filter(|c| (first..last).contains(&c.index()))
-            .collect();
-        if dirty.is_empty() {
+        let (first, count) = chunk_span(base, bytes, self.config.chunk_size);
+        let dirty = self.table.clean_range(first, count);
+        if dirty == 0 {
             return Nanos::ZERO;
         }
-        for &c in &dirty {
-            // Re-registering would lose residency; clear dirty by touching
-            // through eviction-free path: mark clean via unregister/register
-            // is wrong, so extend the table API minimally through touch
-            // semantics: writeback leaves residency, clears dirty.
-            self.table.clear_dirty(c);
-        }
-        let bytes_moved = dirty.len() as u64 * self.config.chunk_size;
-        let t = link.record_transfer(path, bytes_moved);
+        let t = link.record_transfer(path, dirty * self.config.chunk_size);
         hetsim_trace::session::with(|b| {
             let track = b.track("uvm");
             b.detail_span(
@@ -411,7 +288,7 @@ impl UvmSpace {
                 hetsim_trace::Category::Migration,
                 "writeback",
                 t.as_nanos(),
-                Some(("chunks", dirty.len() as f64)),
+                Some(("chunks", dirty as f64)),
             );
         });
         t
@@ -427,18 +304,16 @@ impl UvmSpace {
     /// Panics if `fraction` is outside `[0, 1]`.
     pub fn displace_fraction(&mut self, base: Addr, bytes: u64, fraction: f64) -> u64 {
         assert!((0.0..=1.0).contains(&fraction), "fraction out of [0,1]");
-        let resident: Vec<ChunkId> = chunks_of_range(base, bytes, self.config.chunk_size)
-            .filter(|&c| self.table.is_resident(c))
-            .collect();
-        let n = (resident.len() as f64 * fraction).round() as usize;
+        let (first, count) = chunk_span(base, bytes, self.config.chunk_size);
+        let n = (self.table.resident_in(first, count) as f64 * fraction).round() as u64;
         let mut displaced = 0u64;
-        for &c in resident.iter().rev().take(n) {
-            // Re-register: resets to host residency and clears dirty state.
-            self.table.register(c);
-            self.evicted_once.insert(c);
-            self.resident_bytes -= self.config.chunk_size;
-            displaced += 1;
+        for c in chunks_of_range(base, bytes, self.config.chunk_size).rev() {
+            if displaced == n {
+                break;
+            }
+            displaced += self.table.displace(c) as u64;
         }
+        self.resident_bytes -= displaced * self.config.chunk_size;
         if displaced > 0 {
             self.counters.record_evicted_pages(displaced);
             hetsim_trace::session::with(|b| {
@@ -462,35 +337,38 @@ impl UvmSpace {
     /// Frees a managed range (`cudaFree`), returning writeback time for
     /// dirty device-resident chunks.
     pub fn free(&mut self, base: Addr, bytes: u64, link: &CpuGpuLink) -> Nanos {
-        let mut dirty_chunks = 0u64;
-        for c in chunks_of_range(base, bytes, self.config.chunk_size) {
-            let was_resident = self.table.is_resident(c);
-            self.evicted_once.remove(&c);
-            if self.table.unregister(c) {
-                dirty_chunks += 1;
-            }
-            if was_resident {
-                self.resident_bytes -= self.config.chunk_size;
-            }
-        }
-        if dirty_chunks == 0 {
+        let (first, count) = chunk_span(base, bytes, self.config.chunk_size);
+        let (resident, dirty) = self.table.unregister_range(first, count);
+        self.resident_bytes -= resident * self.config.chunk_size;
+        if dirty == 0 {
             Nanos::ZERO
         } else {
-            link.record_transfer(
-                LinkPath::DemandMigration,
-                dirty_chunks * self.config.chunk_size,
-            )
+            link.record_transfer(LinkPath::DemandMigration, dirty * self.config.chunk_size)
         }
     }
 
     /// Makes one chunk device-resident, evicting LRU chunks if the device
     /// is full.
     fn make_resident(&mut self, chunk: ChunkId) {
+        self.make_room();
+        self.table.make_resident(chunk);
+        self.resident_bytes += self.config.chunk_size;
+    }
+
+    /// [`UvmSpace::make_resident`] for a slot already looked up.
+    fn make_resident_at(&mut self, r: SlotRef) {
+        self.make_room();
+        self.table.make_resident_at(r);
+        self.resident_bytes += self.config.chunk_size;
+    }
+
+    /// Evicts least-recently-used chunks until one more chunk fits on the
+    /// device.
+    fn make_room(&mut self) {
         let mut evicted = 0u64;
         while self.resident_bytes + self.config.chunk_size > self.config.device_capacity {
             match self.table.evict_lru() {
-                Some((victim, dirty)) => {
-                    self.evicted_once.insert(victim);
+                Some((_, dirty)) => {
                     self.resident_bytes -= self.config.chunk_size;
                     self.counters.record_evicted_pages(1);
                     evicted += 1;
@@ -517,8 +395,6 @@ impl UvmSpace {
                 );
             });
         }
-        self.table.make_resident(chunk);
-        self.resident_bytes += self.config.chunk_size;
     }
 
     /// Bytes currently device-resident.
@@ -539,6 +415,161 @@ impl UvmSpace {
     /// Read-only access to the page table (tests, invariant checks).
     pub fn table(&self) -> &PageTable {
         &self.table
+    }
+}
+
+/// A streaming fault-batcher session over one kernel invocation's temporal
+/// touch sequence, from [`UvmSpace::touch_session`].
+///
+/// Each [`TouchSession::touch`] is applied to the page table as it
+/// arrives, so no sequence is ever materialized. Three mechanisms the
+/// address-ordered range walk cannot express fire here:
+///
+/// * **Partial batches** — a [`FaultBatcher`] retires a batch when it
+///   fills *or* when [`TouchConfig::drain_gap`] resident accesses pass
+///   without a fault, so scattered faults pay the fixed batch latency
+///   over small fills (§2.1's batched servicing under the worst case).
+/// * **Region-growing speculation** — the driver heuristic of
+///   [`crate::heuristic`]: a fault adjacent to the previous one doubles
+///   a speculative migration block (capped at
+///   [`TouchConfig::max_spec_block`]); a jump resets it. Sequential
+///   phases inside an irregular stream are covered cheaply; scattered
+///   phases defeat the doubling.
+/// * **Refaults** — faults on chunks that were evicted or displaced
+///   earlier count as thrashing in the [`UvmCounters`].
+///
+/// Speculatively migrated chunks only cross the link when the touch is
+/// `host_backed`; either way they count toward the heuristic-pages
+/// counter. Touches to unmanaged chunks are a simulator bug and panic,
+/// matching the page-table contract. Counters and the link are charged at
+/// [`TouchSession::finish`], which every session must reach.
+#[derive(Debug)]
+#[must_use = "a touch session charges its faults only in `finish`"]
+pub struct TouchSession<'a> {
+    space: &'a mut UvmSpace,
+    batcher: FaultBatcher,
+    spec_block: u64,
+    last_fault: Option<u64>,
+    faulted: u64,
+    /// Chunks crossing the link.
+    migrated: u64,
+    heuristic_pages: u64,
+    refaults: u64,
+}
+
+impl TouchSession<'_> {
+    /// Applies the next access of the sequence.
+    #[inline]
+    pub fn touch(&mut self, t: ChunkTouch) {
+        let (slot, Access::Fault { refault }) = self.space.table.access_slot(t.chunk, t.write)
+        else {
+            self.batcher.hit();
+            return;
+        };
+        self.fault(t, slot, refault);
+    }
+
+    fn fault(&mut self, t: ChunkTouch, slot: SlotRef, refault: bool) {
+        let max_spec_block = self.space.config.touch.max_spec_block.max(1);
+        self.faulted += 1;
+        self.refaults += refault as u64;
+        self.batcher.fault();
+        let idx = t.chunk.index();
+        let adjacent = self
+            .last_fault
+            .is_some_and(|p| idx.abs_diff(p) <= self.spec_block.max(4));
+        self.spec_block = if adjacent {
+            (self.spec_block * 2).min(max_spec_block)
+        } else {
+            1
+        };
+        self.last_fault = Some(idx);
+        self.space.make_resident_at(slot);
+        self.migrated += t.host_backed as u64;
+        // The speculative block after the faulting chunk, clipped to the
+        // managed range.
+        for c in idx + 1..idx + self.spec_block {
+            if let Some(spec) = self.space.table.host_resident_slot(ChunkId::new(c)) {
+                self.space.make_resident_at(spec);
+                self.heuristic_pages += 1;
+                self.migrated += t.host_backed as u64;
+            }
+        }
+    }
+
+    /// Services the batches and charges the session's faults, refaults,
+    /// speculation and migration to the space's counters and `link`.
+    pub fn finish(self, link: &CpuGpuLink) -> FaultReport {
+        let TouchSession {
+            space,
+            batcher,
+            faulted,
+            migrated,
+            heuristic_pages,
+            refaults,
+            ..
+        } = self;
+        if faulted == 0 {
+            return FaultReport::default();
+        }
+        let fault = space.config.fault;
+        let fills = batcher.finish();
+        let mut stall = Nanos::ZERO;
+        for &fill in &fills {
+            let s = fault.batch_latency + fault.per_fault * fill as u64;
+            stall += s;
+            space.counters.record_fault_batch(fill as u64, s);
+            space.counters.record_batch_fill(fill as u64);
+        }
+        space.counters.record_refaults(refaults);
+        space.counters.record_heuristic_pages(heuristic_pages);
+        let transfer = if migrated > 0 {
+            space.counters.record_migrated_pages(migrated);
+            link.record_chunked_transfer(
+                LinkPath::DemandMigration,
+                migrated * space.config.chunk_size,
+                space.config.chunk_size * fault.batch_capacity as u64,
+            )
+        } else {
+            Nanos::ZERO
+        };
+        hetsim_trace::session::with(|b| {
+            let track = b.track("uvm");
+            b.detail_span(
+                track,
+                hetsim_trace::Category::FaultBatch,
+                "fault_batch_seq",
+                stall.as_nanos(),
+                Some(("chunks", faulted as f64)),
+            );
+            if !transfer.is_zero() {
+                b.detail_span(
+                    track,
+                    hetsim_trace::Category::Migration,
+                    "migration",
+                    transfer.as_nanos(),
+                    Some(("chunks", migrated as f64)),
+                );
+            }
+            b.counter_on(
+                track,
+                "uvm.page_faults",
+                space.counters.page_faults() as f64,
+            );
+            b.counter_on(
+                track,
+                "uvm.pages_migrated",
+                space.counters.pages_migrated() as f64,
+            );
+            b.counter_on(track, "uvm.refaults", space.counters.refaults() as f64);
+            b.counter_on(track, "uvm.resident_bytes", space.resident_bytes as f64);
+        });
+        FaultReport {
+            chunks: faulted,
+            batches: fills.len() as u64,
+            stall,
+            transfer,
+        }
     }
 }
 
@@ -638,6 +669,30 @@ mod tests {
         s.managed_alloc(Addr::new(0), MB);
         s.demand_touch_range(Addr::new(0), MB, false, true, &link());
         assert_eq!(s.free(Addr::new(0), MB, &link()), Nanos::ZERO);
+    }
+
+    #[test]
+    fn prefetch_under_pressure_covers_the_chunks_pending_at_the_start() {
+        let mut cfg = UvmConfig::a100();
+        let cs = cfg.chunk_size;
+        cfg.device_capacity = 4 * cs;
+        let mut s = UvmSpace::new(cfg);
+        let other = Addr::new(1 << 30);
+        s.managed_alloc(Addr::new(0), 10 * cs);
+        s.managed_alloc(other, 2 * cs);
+        // Chunks 5 and 6 resident and least recently used; the device is
+        // full, so the prefetch walk evicts them before it reaches them.
+        s.demand_touch_range(Addr::new(5 * cs), 2 * cs, false, true, &link());
+        s.demand_touch_range(other, 2 * cs, false, true, &link());
+        s.prefetch_range(Addr::new(0), 10 * cs, 1.0, &link());
+        // The eight chunks pending at the start move (0-4, 7-9); 5 and 6,
+        // resident when the prefetch began, are not brought back.
+        assert_eq!(s.counters().pages_prefetched(), 8);
+        let resident: Vec<u64> = (0..10)
+            .filter(|&i| s.table().is_resident(ChunkId::new(i)))
+            .collect();
+        assert_eq!(resident, vec![4, 7, 8, 9]);
+        assert!(s.table().has_left_device(ChunkId::new(5)));
     }
 
     #[test]

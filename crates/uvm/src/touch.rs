@@ -11,8 +11,12 @@
 //! module supplies the two pieces that path needs:
 //!
 //! * [`ChunkTouch`] — one access of a temporal sequence, produced by a
-//!   workload's touch model (`hetsim-workloads`) and consumed by
-//!   [`UvmSpace::demand_touch_sequence`](crate::space::UvmSpace::demand_touch_sequence);
+//!   workload's touch model (`hetsim-workloads`) and consumed one at a
+//!   time by a [`TouchSession`](crate::space::TouchSession): the runtime
+//!   streams each generated touch straight into the session, so no
+//!   sequence is materialized on the run path
+//!   ([`UvmSpace::demand_touch_sequence`](crate::space::UvmSpace::demand_touch_sequence)
+//!   runs the same session over a slice, for callers that hold one);
 //! * [`FaultBatcher`] — the driver's fault buffer: it retires a batch when
 //!   full *or* when the SMs run far enough ahead of the buffer (a drain
 //!   gap of non-faulting accesses) that the driver services what it has.

@@ -12,9 +12,10 @@
 //! produces maximally dense fault streams.
 //!
 //! A [`TouchModel`] closes the gap: it generates the chunk-granular touch
-//! sequence of one kernel invocation *in temporal order*, which the runtime
-//! replays through the UVM fault batcher
-//! ([`demand_touch_sequence`](hetsim_uvm::UvmSpace::demand_touch_sequence)).
+//! sequence of one kernel invocation *in temporal order* and streams it,
+//! one touch at a time, into the runtime's UVM fault-batcher session
+//! ([`touch_session`](hetsim_uvm::UvmSpace::touch_session)); no sequence
+//! is materialized on the run path.
 //! Three archetypes cover the paper's irregular behaviours:
 //!
 //! * [`TouchModel::Frontier`] — data-dependent graph expansion ([`bfs`]):
@@ -56,10 +57,11 @@ pub const BFS_LEVELS: u64 = 12;
 /// of one kernel invocation.
 ///
 /// Attached to a [`Workload`] via
-/// [`with_touch_model`](Workload::with_touch_model); the runtime replays
-/// the sequence through the UVM fault batcher, so touch *order* — bursts,
-/// gaps, revisits — decides batching, speculation, and thrashing, exactly
-/// the degrees of freedom the paper's irregular workloads exercise.
+/// [`with_touch_model`](Workload::with_touch_model); the runtime streams
+/// the sequence ([`TouchModel::for_each_touch`]) through the UVM fault
+/// batcher, so touch *order* — bursts, gaps, revisits — decides batching,
+/// speculation, and thrashing, exactly the degrees of freedom the paper's
+/// irregular workloads exercise.
 ///
 /// Buffer fields are indices into the workload's buffer list; chunk
 /// indices the model emits are buffer-relative (the runtime clamps and
@@ -120,18 +122,28 @@ fn chunks_of(b: &BufferSpec, chunk_size: u64) -> u64 {
 }
 
 impl TouchModel {
-    /// The touch sequence of `kernel`'s `invocation`-th launch, or `None`
-    /// when the model has converged (no further rounds add anything).
+    /// Streams the touch sequence of `kernel`'s `invocation`-th launch
+    /// into `emit`, in temporal order, returning `false` (and emitting
+    /// nothing) when the model has converged (no further rounds add
+    /// anything).
     ///
     /// Deterministic in `(workload, kernel, invocation, chunk_size)`.
-    pub fn touches(
+    pub fn for_each_touch(
         &self,
         workload: &str,
         kernel: usize,
         invocation: u64,
         chunk_size: u64,
         buffers: &[BufferSpec],
-    ) -> Option<Vec<PageTouch>> {
+        mut emit: impl FnMut(PageTouch),
+    ) -> bool {
+        let mut touch = |buffer: usize, chunk: u64, write: bool| {
+            emit(PageTouch {
+                buffer,
+                chunk,
+                write,
+            })
+        };
         match *self {
             TouchModel::Frontier {
                 graph,
@@ -141,7 +153,7 @@ impl TouchModel {
                 levels,
             } => {
                 if invocation >= levels {
-                    return None;
+                    return false;
                 }
                 let mut rng = SimRng::seed_from_parts(
                     &["hetsim.touch", workload, "frontier"],
@@ -152,39 +164,21 @@ impl TouchModel {
                 let n_vis = chunks_of(&buffers[visited], chunk_size);
                 let n_out = chunks_of(&buffers[out], chunk_size);
                 let frontier = frontier_size(invocation, n_graph);
-                let mut seq = Vec::new();
                 for e in 0..frontier {
                     // Consult the row offsets for this vertex.
-                    seq.push(PageTouch {
-                        buffer: offsets,
-                        chunk: rng.below(n_off),
-                        write: false,
-                    });
+                    touch(offsets, rng.below(n_off), false);
                     // Walk a short, data-dependent run of adjacency chunks.
                     let run = 1 + rng.below(3);
                     let start = rng.below(n_graph);
                     for r in 0..run {
-                        seq.push(PageTouch {
-                            buffer: graph,
-                            chunk: (start + r) % n_graph,
-                            write: false,
-                        });
+                        touch(graph, (start + r) % n_graph, false);
                     }
                     // Mark the vertex visited.
-                    seq.push(PageTouch {
-                        buffer: visited,
-                        chunk: rng.below(n_vis),
-                        write: true,
-                    });
+                    touch(visited, rng.below(n_vis), true);
                     if e % 4 == 0 {
-                        seq.push(PageTouch {
-                            buffer: out,
-                            chunk: rng.below(n_out),
-                            write: true,
-                        });
+                        touch(out, rng.below(n_out), true);
                     }
                 }
-                Some(seq)
             }
             TouchModel::Retouch {
                 data,
@@ -196,7 +190,7 @@ impl TouchModel {
                 table_interval,
             } => {
                 if invocation >= passes {
-                    return None;
+                    return false;
                 }
                 let mut rng = SimRng::seed_from_parts(
                     &["hetsim.touch", workload, "retouch"],
@@ -208,8 +202,8 @@ impl TouchModel {
                 let lanes = lanes.max(1);
                 let burst = burst.max(1);
                 let lane_len = n_data.div_ceil(lanes);
-                let mut seq = Vec::new();
-                let mut emitted = 0u64;
+                // Data touches left until the next table read.
+                let mut until_table = table_interval.max(1);
                 let mut turn = 0u64;
                 loop {
                     let mut any = false;
@@ -222,25 +216,14 @@ impl TouchModel {
                         }
                         any = true;
                         for c in s..(s + burst).min(lane_end) {
-                            seq.push(PageTouch {
-                                buffer: data,
-                                chunk: c,
-                                write: false,
-                            });
-                            emitted += 1;
-                            if emitted.is_multiple_of(table_interval.max(1)) {
-                                seq.push(PageTouch {
-                                    buffer: table,
-                                    chunk: rng.below(n_table),
-                                    write: false,
-                                });
+                            touch(data, c, false);
+                            until_table -= 1;
+                            if until_table == 0 {
+                                until_table = table_interval.max(1);
+                                touch(table, rng.below(n_table), false);
                             }
                             if c % 8 == 0 {
-                                seq.push(PageTouch {
-                                    buffer: out,
-                                    chunk: c * n_out / n_data,
-                                    write: true,
-                                });
+                                touch(out, c * n_out / n_data, true);
                             }
                         }
                     }
@@ -253,13 +236,8 @@ impl TouchModel {
                 // accumulated means back to the shared table (which is why
                 // the table buffer is InOut, not Input).
                 for t in 0..n_table {
-                    seq.push(PageTouch {
-                        buffer: table,
-                        chunk: t,
-                        write: true,
-                    });
+                    touch(table, t, true);
                 }
-                Some(seq)
             }
             TouchModel::Wavefront {
                 grid,
@@ -268,45 +246,47 @@ impl TouchModel {
                 halo_chunks,
             } => {
                 if invocation >= rows {
-                    return None;
+                    return false;
                 }
                 let n_grid = chunks_of(&buffers[grid], chunk_size);
                 let n_out = chunks_of(&buffers[out], chunk_size);
                 let band = n_grid.div_ceil(rows).max(1);
                 let start = invocation * band;
                 if start >= n_grid {
-                    return None;
+                    return false;
                 }
                 let end = if invocation == rows - 1 {
                     n_grid
                 } else {
                     (start + band).min(n_grid)
                 };
-                let mut seq = Vec::new();
                 // Halo: the tail of the previous band stays live as input
                 // to this one.
-                for h in start.saturating_sub(halo_chunks)..start {
-                    seq.push(PageTouch {
-                        buffer: grid,
-                        chunk: h,
-                        write: false,
-                    });
+                for c in start.saturating_sub(halo_chunks)..end {
+                    touch(grid, c, false);
                 }
-                for c in start..end {
-                    seq.push(PageTouch {
-                        buffer: grid,
-                        chunk: c,
-                        write: false,
-                    });
-                }
-                seq.push(PageTouch {
-                    buffer: out,
-                    chunk: (invocation * n_out / rows).min(n_out - 1),
-                    write: true,
-                });
-                Some(seq)
+                touch(out, (invocation * n_out / rows).min(n_out - 1), true);
             }
         }
+        true
+    }
+
+    /// The touch sequence of `kernel`'s `invocation`-th launch collected
+    /// into a `Vec`, or `None` when the model has converged — what
+    /// [`TouchModel::for_each_touch`] streams.
+    pub fn touches(
+        &self,
+        workload: &str,
+        kernel: usize,
+        invocation: u64,
+        chunk_size: u64,
+        buffers: &[BufferSpec],
+    ) -> Option<Vec<PageTouch>> {
+        let mut seq = Vec::new();
+        self.for_each_touch(workload, kernel, invocation, chunk_size, buffers, |t| {
+            seq.push(t)
+        })
+        .then_some(seq)
     }
 }
 
@@ -434,6 +414,26 @@ mod tests {
             adjacent * 3 < graph_chunks.len() * 2,
             "stream too sequential"
         );
+    }
+
+    #[test]
+    fn streamed_touches_are_exactly_the_collected_sequence() {
+        for name in crate::suite::IRREGULAR_TRIO {
+            let w = crate::suite::by_name(name, InputSize::Medium).expect("registered");
+            for (ki, k) in w.kernels().iter().enumerate() {
+                for inv in 0..=k.invocations() {
+                    let mut streamed = Vec::new();
+                    let produced = w.for_each_page_touch(ki, inv, CHUNK, &mut |t| streamed.push(t));
+                    let collected = w.page_touches(ki, inv, CHUNK);
+                    assert_eq!(produced, collected.is_some(), "{name} k{ki}#{inv}");
+                    assert_eq!(
+                        streamed,
+                        collected.unwrap_or_default(),
+                        "{name} k{ki}#{inv}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -422,6 +422,25 @@ impl GpuProgram for Workload {
             &self.buffers,
         )
     }
+
+    fn for_each_page_touch(
+        &self,
+        kernel: usize,
+        invocation: u64,
+        chunk_size: u64,
+        emit: &mut dyn FnMut(PageTouch),
+    ) -> bool {
+        self.touch_model.as_ref().is_some_and(|m| {
+            m.for_each_touch(
+                &self.name,
+                kernel,
+                invocation,
+                chunk_size,
+                &self.buffers,
+                emit,
+            )
+        })
+    }
 }
 
 #[cfg(test)]

@@ -223,6 +223,16 @@ HETSIM_CACHE="$cachedir" ./target/release/hetsim-cli micro --size tiny --runs 2 
 grep -q '^cache:' "$out/cache_off.err" \
   && { echo "FAIL: --cache off did not override HETSIM_CACHE"; exit 1; }
 
+echo "==> oversubscription golden gate (eviction-path run reports vs golden)"
+# The figure sweeps and the benchmark never run a device out of memory, so
+# LRU eviction order, refaults, dirty eviction writebacks and prefetch
+# under pressure are pinned here instead: full RunReports of bfs and
+# kmeans at Large in the three UVM modes, with device capacity at 1/2 and
+# 1/4 of the footprint, plus kmeans' oversubscription table.
+cargo run --release --quiet --example oversub_golden > "$out/oversub.golden"
+cmp scripts/golden/oversub.golden "$out/oversub.golden" \
+  || { echo "FAIL: oversubscription reports differ from scripts/golden/oversub.golden"; exit 1; }
+
 echo "==> benchmark output gate (perfbench harness tests + seed-1 digests vs golden)"
 # The repository benchmark's output digests are a pure function of the
 # seed; a change that alters any served or simulated figure moves them.

@@ -177,3 +177,65 @@ fn kmeans_heuristic_prefetch_fires_on_bursts() {
     // pages must exceed faulted pages.
     assert!(r.counters.uvm.pages_migrated() > r.counters.uvm.page_faults());
 }
+
+/// The streamed fault path equals the slice path: feeding each touch of
+/// `for_each_page_touch` straight into a `TouchSession` produces the same
+/// `FaultReport` per invocation — and the same `UvmCounters` — as
+/// `demand_touch_sequence` over the collected `page_touches`, on the trio's
+/// sequences at Medium (under a tight device, so eviction and refaults are
+/// part of what must agree).
+#[test]
+fn streamed_session_matches_demand_touch_sequence() {
+    use hetsim::mem::{Addr, CpuGpuLink};
+    use hetsim::runtime::{BufferRole, PageTouch};
+    use hetsim::uvm::{ChunkId, ChunkTouch, UvmConfig, UvmSpace};
+    let link = CpuGpuLink::pcie4_a100();
+    for name in suite::IRREGULAR_TRIO {
+        let wl = w(name);
+        let mut config = UvmConfig::a100();
+        config.device_capacity = wl.footprint() / 2;
+        let chunk = config.chunk_size;
+        let buffers = wl.buffers();
+        let resolve = |t: PageTouch| {
+            let b = &buffers[t.buffer];
+            let first = ((t.buffer as u64 + 1) << 42) / chunk;
+            (b.role != BufferRole::Scratch).then(|| ChunkTouch {
+                chunk: ChunkId::new(first + t.chunk % b.bytes.div_ceil(chunk).max(1)),
+                write: t.write,
+                host_backed: b.role.is_input(),
+            })
+        };
+        let mut streamed = UvmSpace::new(config);
+        let mut sliced = UvmSpace::new(config);
+        for (i, b) in buffers.iter().enumerate() {
+            let base = Addr::new((i as u64 + 1) << 42);
+            streamed.managed_alloc(base, b.bytes);
+            sliced.managed_alloc(base, b.bytes);
+        }
+        let mut rounds = 0;
+        for (ki, k) in wl.kernels().iter().enumerate() {
+            for inv in 0..k.invocations() {
+                let mut session = streamed.touch_session();
+                let produced = wl.for_each_page_touch(ki, inv, chunk, &mut |t| {
+                    if let Some(c) = resolve(t) {
+                        session.touch(c);
+                    }
+                });
+                let a = session.finish(&link);
+                let Some(seq) = wl.page_touches(ki, inv, chunk) else {
+                    assert!(!produced, "{name} k{ki}#{inv}: streamed a converged model");
+                    break;
+                };
+                assert!(produced, "{name} k{ki}#{inv}: no stream for a sequence");
+                let seq: Vec<ChunkTouch> = seq.into_iter().filter_map(resolve).collect();
+                let b = sliced.demand_touch_sequence(&seq, &link);
+                assert_eq!(a, b, "{name} k{ki}#{inv}");
+                rounds += 1;
+            }
+        }
+        assert!(rounds > 0, "{name} has a touch model");
+        assert_eq!(streamed.counters(), sliced.counters(), "{name}");
+        assert!(sliced.counters().page_faults() > 0, "{name}");
+        assert!(sliced.counters().pages_evicted() > 0, "{name} must evict");
+    }
+}
