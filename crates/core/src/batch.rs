@@ -6,8 +6,8 @@
 //! ~38% of the total — and proposes overlapping job *i+1*'s CPU-side
 //! allocation with job *i*'s GPU work (the KaaS batch-processing setting).
 //! [`InterJobPipeline`] evaluates that proposal: it schedules a batch of
-//! jobs with and without the overlap on the discrete-event engine and
-//! reports the throughput gain — the ">30% additional improvement" the
+//! jobs with and without the overlap on a two-stage (CPU, GPU) recurrence
+//! and reports the throughput gain — the ">30% additional improvement" the
 //! paper estimates.
 
 use hetsim_counters::report::Table;

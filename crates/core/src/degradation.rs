@@ -19,6 +19,7 @@ use crate::experiment::Experiment;
 use crate::pool;
 use hetsim_counters::report::Table;
 use hetsim_runtime::{FaultPlan, GpuProgram, RecoveryPolicy, TransferMode};
+use hetsim_trace::json::quote;
 use hetsim_workloads::{by_name, InputSize};
 
 /// The grid a [`ChaosSweep`] runs.
@@ -232,12 +233,12 @@ impl ChaosSweep {
         out.push_str(&format!("  \"rates\": [{}],\n", rates.join(", ")));
         out.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
-            let errors: Vec<String> = c.errors.iter().map(|e| json_string(e)).collect();
+            let errors: Vec<String> = c.errors.iter().map(|e| quote(e)).collect();
             out.push_str(&format!(
                 "    {{\"workload\": {}, \"rate\": {:.4}, \"ok\": {}, \"degraded\": {}, \
                  \"failed\": {}, \"mean_slowdown\": {:.6}, \"mean_injected\": {:.3}, \
                  \"mean_overhead_share\": {:.6}, \"errors\": [{}]}}{}\n",
-                json_string(&c.workload),
+                quote(&c.workload),
                 c.rate,
                 c.ok,
                 c.degraded,
@@ -252,24 +253,6 @@ impl ChaosSweep {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-/// Minimal JSON string quoting (names and error messages only contain
-/// printable ASCII, but quotes and backslashes must still escape).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -323,10 +306,5 @@ mod tests {
         assert_eq!(serial, parallel);
         assert_eq!(serial.to_json(), parallel.to_json());
         assert_eq!(serial.to_table().to_csv(), parallel.to_table().to_csv());
-    }
-
-    #[test]
-    fn json_escapes_quotes() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
     }
 }

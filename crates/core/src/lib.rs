@@ -54,7 +54,7 @@ pub mod memo;
 pub mod pool;
 pub mod verify;
 
-/// The discrete-event simulation core.
+/// Simulation primitives: integer-ns time, bandwidth, deterministic RNG, statistics.
 pub use hetsim_engine as engine;
 
 /// CUPTI-like counters and report tables.

@@ -123,81 +123,6 @@ impl Summary {
     pub fn median(&self) -> f64 {
         self.percentile(50.0)
     }
-
-    /// Half-width of the normal-approximation 95% confidence interval on the
-    /// mean.
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std / (self.n as f64).sqrt()
-    }
-}
-
-/// A fixed-bin histogram over a sample range — the compact form of the
-/// paper's Fig 4 run-time distributions.
-///
-/// # Example
-///
-/// ```
-/// use hetsim_engine::stats::Histogram;
-/// let h = Histogram::from_samples(&[1.0, 1.1, 1.2, 5.0], 4);
-/// assert_eq!(h.bins().iter().sum::<usize>(), 4);
-/// assert_eq!(h.bins()[0], 3, "the cluster lands in the first bin");
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<usize>,
-}
-
-impl Histogram {
-    /// Builds a histogram with `bins` equal-width bins spanning the sample
-    /// range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or `bins` is zero.
-    pub fn from_samples(samples: &[f64], bins: usize) -> Self {
-        assert!(!samples.is_empty(), "histogram of empty sample set");
-        assert!(bins > 0, "histogram needs at least one bin");
-        let lo = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let width = (hi - lo).max(f64::MIN_POSITIVE);
-        let mut counts = vec![0usize; bins];
-        for &x in samples {
-            let i = (((x - lo) / width) * bins as f64) as usize;
-            counts[i.min(bins - 1)] += 1;
-        }
-        Histogram {
-            lo,
-            hi,
-            bins: counts,
-        }
-    }
-
-    /// Lower edge of the first bin.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper edge of the last bin.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[usize] {
-        &self.bins
-    }
-
-    /// Renders a one-line sparkline (`▁▂▃▄▅▆▇█`) of the distribution.
-    pub fn sparkline(&self) -> String {
-        const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-        let max = self.bins.iter().copied().max().unwrap_or(0).max(1);
-        self.bins
-            .iter()
-            .map(|&c| LEVELS[(c * (LEVELS.len() - 1)).div_ceil(max).min(LEVELS.len() - 1)])
-            .collect()
-    }
 }
 
 /// Geometric mean of positive values.
@@ -221,33 +146,6 @@ pub fn geomean(values: &[f64]) -> f64 {
         return 0.0;
     }
     (logs.iter().sum::<f64>() / logs.len() as f64).exp()
-}
-
-/// Percentage change of `new` relative to `base`: positive means `new` is
-/// faster/smaller is NOT implied — this is the raw `(new - base) / base`.
-///
-/// # Example
-///
-/// ```
-/// use hetsim_engine::stats::pct_change;
-/// assert_eq!(pct_change(100.0, 120.0), 20.0);
-/// ```
-pub fn pct_change(base: f64, new: f64) -> f64 {
-    if base == 0.0 {
-        0.0
-    } else {
-        (new - base) / base * 100.0
-    }
-}
-
-/// Speedup of `new` over `base` (`base / new`), the convention the paper
-/// uses for "X× speedups over standard".
-pub fn speedup(base: f64, new: f64) -> f64 {
-    if new == 0.0 {
-        f64::INFINITY
-    } else {
-        base / new
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +176,6 @@ mod tests {
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.std(), 0.0);
         assert_eq!(s.median(), 3.5);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -300,48 +197,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_conserve_samples() {
-        let xs = [0.0, 0.5, 1.0, 1.5, 2.0, 2.0, 2.0];
-        let h = Histogram::from_samples(&xs, 4);
-        assert_eq!(h.bins().iter().sum::<usize>(), xs.len());
-        assert_eq!(h.lo(), 0.0);
-        assert_eq!(h.hi(), 2.0);
-        // 1.5 plus the three max values land in the last bin.
-        assert_eq!(*h.bins().last().unwrap(), 4);
-    }
-
-    #[test]
-    fn histogram_single_value() {
-        let h = Histogram::from_samples(&[3.0, 3.0], 5);
-        assert_eq!(h.bins().iter().sum::<usize>(), 2);
-        assert_eq!(h.sparkline().chars().count(), 5);
-    }
-
-    #[test]
-    fn sparkline_height_tracks_counts() {
-        let h = Histogram::from_samples(&[1.0, 1.0, 1.0, 1.0, 9.0], 2);
-        let s: Vec<char> = h.sparkline().chars().collect();
-        assert!(s[0] > s[1], "the dense bin renders taller: {s:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn histogram_empty_panics() {
-        let _ = Histogram::from_samples(&[], 4);
-    }
-
-    #[test]
     fn geomean_skips_nonpositive() {
         assert!((geomean(&[2.0, 8.0, 0.0, -3.0]) - 4.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
         assert_eq!(geomean(&[0.0]), 0.0);
-    }
-
-    #[test]
-    fn pct_change_and_speedup() {
-        assert_eq!(pct_change(200.0, 150.0), -25.0);
-        assert_eq!(pct_change(0.0, 5.0), 0.0);
-        assert_eq!(speedup(200.0, 100.0), 2.0);
-        assert!(speedup(1.0, 0.0).is_infinite());
     }
 }

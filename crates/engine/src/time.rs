@@ -2,7 +2,7 @@
 //! clock-domain conversion ([`ClockDomain`]).
 //!
 //! All timing in the simulator is integer nanoseconds. Integer time keeps the
-//! event queue totally ordered without floating-point tie-break hazards and
+//! schedules totally ordered without floating-point tie-break hazards and
 //! makes runs bit-reproducible across platforms.
 
 use std::fmt;
@@ -252,7 +252,7 @@ impl fmt::Display for SimTime {
 
 /// A clock domain converting between cycle counts and wall-clock durations.
 ///
-/// GPU cost models naturally count cycles; the event engine speaks
+/// GPU cost models naturally count cycles; the schedulers speak
 /// nanoseconds. A `ClockDomain` does the conversion for a fixed frequency.
 ///
 /// # Example

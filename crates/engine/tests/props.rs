@@ -1,4 +1,4 @@
-//! Randomized invariant tests for the discrete-event core.
+//! Randomized invariant tests for the simulation primitives.
 //!
 //! These were originally `proptest` properties; they now drive the same
 //! invariants from the crate's own deterministic [`SimRng`] so the test
@@ -8,69 +8,6 @@ use hetsim_engine::prelude::*;
 use hetsim_engine::stats::geomean;
 
 const CASES: u64 = 64;
-
-/// Events always pop in non-decreasing time order, with FIFO ties.
-#[test]
-fn event_queue_total_order() {
-    let mut rng = SimRng::seed_from_parts(&["props", "event_queue_total_order"], 0);
-    for _ in 0..CASES {
-        let n = rng.range(1, 200) as usize;
-        let times: Vec<u64> = (0..n).map(|_| rng.below(1_000)).collect();
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_nanos(t), i);
-        }
-        let drained = q.drain_ordered();
-        assert_eq!(drained.len(), times.len());
-        for w in drained.windows(2) {
-            assert!(w[0].0 <= w[1].0, "time order violated");
-            if w[0].0 == w[1].0 {
-                assert!(w[0].1 < w[1].1, "FIFO tiebreak violated");
-            }
-        }
-    }
-}
-
-/// Busy time within a window never exceeds the window, regardless of how
-/// intervals overlap.
-#[test]
-fn busy_tracker_bounded() {
-    let mut rng = SimRng::seed_from_parts(&["props", "busy_tracker_bounded"], 0);
-    for _ in 0..CASES {
-        let n = rng.below(50) as usize;
-        let mut b = BusyTracker::new();
-        for _ in 0..n {
-            let s = rng.below(500);
-            let d = rng.below(500);
-            b.record_for(SimTime::from_nanos(s), Nanos::from_nanos(d));
-        }
-        let window = Nanos::from_nanos(500 + 500);
-        let busy = b.busy_within(SimTime::ZERO, SimTime::ZERO + window);
-        assert!(busy <= window);
-        let util = b.utilization(SimTime::ZERO, SimTime::ZERO + window);
-        assert!((0.0..=1.0).contains(&util));
-    }
-}
-
-/// Merging overlapping recordings never reports less busy time than the
-/// single longest interval.
-#[test]
-fn busy_tracker_lower_bound() {
-    let mut rng = SimRng::seed_from_parts(&["props", "busy_tracker_lower_bound"], 0);
-    for _ in 0..CASES {
-        let n = rng.range(1, 50) as usize;
-        let mut b = BusyTracker::new();
-        let mut longest = 0u64;
-        for _ in 0..n {
-            let s = rng.below(500);
-            let d = rng.range(1, 500);
-            b.record_for(SimTime::from_nanos(s), Nanos::from_nanos(d));
-            longest = longest.max(d);
-        }
-        let busy = b.busy_within(SimTime::ZERO, SimTime::from_nanos(1_000));
-        assert!(busy.as_nanos() >= longest.min(1_000));
-    }
-}
 
 /// SimRng stays deterministic under forking and in-range for bounds.
 #[test]

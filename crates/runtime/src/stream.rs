@@ -4,7 +4,8 @@
 //! stream pipelining (§2.2 cites a decade of it): split buffers into
 //! chunks, issue H2D copy / kernel / D2H copy of successive chunks on
 //! different streams, and let the copy engines overlap the SMs. This module
-//! implements that schedule on the discrete-event engine, giving the
+//! implements that schedule with per-stream and per-engine free-time
+//! frontiers (each operation starts when both are free), giving the
 //! repository the natural baseline the paper's related work compares
 //! against — and a sixth configuration (`standard_overlapped`) for the
 //! extension experiments.

@@ -1,6 +1,7 @@
 //! Structured diagnostics: lint codes, severities, spans, and the
 //! [`Report`] container with text and JSON renderers.
 
+use hetsim_trace::json::escape;
 use std::fmt;
 
 /// Every check the sanitizer performs, behind a stable lint code.
@@ -463,26 +464,6 @@ fn span_json(span: &Span) -> String {
             format!("{{\"kind\":\"track\",\"name\":\"{}\"}}", escape(name))
         }
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

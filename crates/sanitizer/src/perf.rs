@@ -48,6 +48,7 @@ use hetsim_mem::link::{CpuGpuLink, LinkPath};
 use hetsim_mem::tlb::TlbConfig;
 use hetsim_runtime::program::{BufferRole, BufferSpec, GpuProgram};
 use hetsim_runtime::{Device, TransferMode};
+use hetsim_trace::json::{escape, number};
 use hetsim_uvm::fault::FaultConfig;
 use hetsim_uvm::prefetch::PrefetchModel;
 use hetsim_uvm::touch::{FaultBatcher, TouchConfig};
@@ -209,8 +210,8 @@ impl ModeAdvice {
         let _ = write!(
             out,
             "\"workload\":\"{}\",\"device\":\"{}\",\"best\":\"{}\",\"ranked\":[",
-            json_escape(&self.workload),
-            json_escape(self.device),
+            escape(&self.workload),
+            escape(self.device),
             self.best().mode.name()
         );
         for (i, p) in self.ranked.iter().enumerate() {
@@ -226,7 +227,7 @@ impl ModeAdvice {
                 p.kernel.as_nanos(),
                 p.fault_stall.as_nanos(),
                 p.total().as_nanos(),
-                json_escape(&p.rationale),
+                escape(&p.rationale),
             );
         }
         let o = &self.overlap;
@@ -237,8 +238,8 @@ impl ModeAdvice {
             o.copy_time.as_nanos(),
             o.standard_kernel.as_nanos(),
             o.async_kernel.as_nanos(),
-            json_f64(o.hidable_fraction),
-            json_f64(o.async_gain),
+            number(o.hidable_fraction),
+            number(o.async_gain),
         );
         let d = &self.dataflow;
         let _ = write!(
@@ -248,11 +249,11 @@ impl ModeAdvice {
             d.total_touches,
             d.distinct_chunks,
             d.footprint_chunks,
-            json_f64(d.touch_density),
-            json_f64(d.mean_reuse_distance),
-            json_f64(d.mean_batch_fill),
-            json_f64(d.oversubscription),
-            json_f64(d.thrash_fraction),
+            number(d.touch_density),
+            number(d.mean_reuse_distance),
+            number(d.mean_batch_fill),
+            number(d.oversubscription),
+            number(d.thrash_fraction),
         );
         let b = &self.budget;
         let _ = write!(
@@ -262,41 +263,12 @@ impl ModeAdvice {
             b.pinned_budget,
             b.footprint,
             b.device_capacity,
-            json_f64(b.oversubscription),
+            number(b.oversubscription),
             b.within_budget,
         );
         let _ = write!(out, ",\"report\":{}}}", self.report.to_json());
         out
     }
-}
-
-/// Deterministic JSON float rendering; non-finite values render as 0.
-fn json_f64(f: f64) -> String {
-    if f.is_finite() {
-        format!("{f}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------

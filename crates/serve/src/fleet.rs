@@ -177,25 +177,18 @@ pub struct Fleet {
     experiment: Experiment,
     catalog: Vec<&'static str>,
     workloads: Vec<Workload>,
+    /// Per catalog index, the mode with the fastest noise-free base run.
+    fastest: Vec<TransferMode>,
     size: InputSize,
 }
 
 impl Fleet {
-    /// The transfer modes a shipped policy or the SLO degradation ladder
-    /// can place requests in; the prewarm grid covers exactly these.
-    const PREWARM_MODES: [TransferMode; 5] = [
-        TransferMode::Async,
-        TransferMode::UvmPrefetchAsync,
-        TransferMode::UvmPrefetch,
-        TransferMode::Uvm,
-        TransferMode::Standard,
-    ];
-
     /// Builds a fleet over `topology` serving the full workload registry
     /// at `size`, and prewarms the cost model: one deterministic base
-    /// simulation per `(workload, prewarm mode)`, fanned across the pool
-    /// executor (results land in the experiment's index-independent memo,
-    /// so thread count cannot affect anything downstream).
+    /// simulation per `(workload, mode)` for all five modes, fanned across
+    /// the pool executor (results land in the experiment's
+    /// index-independent memo, so thread count cannot affect anything
+    /// downstream). The same grid gives each workload's fastest mode.
     pub fn new(topology: ClusterTopology, size: InputSize) -> Fleet {
         Fleet::with_experiment(topology, size, Experiment::new())
     }
@@ -213,17 +206,18 @@ impl Fleet {
             .iter()
             .map(|name| suite::by_name(name, size).expect("catalog names come from the registry"))
             .collect();
-        let grid = workloads.len() * Fleet::PREWARM_MODES.len();
-        pool::run(grid, |i| {
-            let w = &workloads[i / Fleet::PREWARM_MODES.len()];
-            let mode = Fleet::PREWARM_MODES[i % Fleet::PREWARM_MODES.len()];
-            experiment.base_run(w, mode);
+        let modes = TransferMode::ALL.len();
+        let totals = pool::run(workloads.len() * modes, |i| {
+            let base = experiment.base_run(&workloads[i / modes], TransferMode::ALL[i % modes]);
+            JobStages::from_report(&base).total()
         });
+        let fastest = totals.chunks_exact(modes).map(fastest_mode).collect();
         Fleet {
             topology,
             experiment,
             catalog,
             workloads,
+            fastest,
             size,
         }
     }
@@ -379,7 +373,6 @@ impl Fleet {
                         gpu_free: s.gpu_free,
                         committed,
                         capacity,
-                        inflight: s.inflight.len(),
                         consecutive_failures: s.consecutive_failures,
                         health,
                     }
@@ -390,6 +383,7 @@ impl Fleet {
                 devices: &views,
                 topology: &self.topology,
                 costs: ModeCosts::from_fn(|mode| self.stages(catalog_idx, mode, req.id)),
+                fastest: self.fastest[catalog_idx],
             };
 
             // One deterministic RNG per request, independent of every
@@ -678,6 +672,18 @@ impl Fleet {
     }
 }
 
+/// The fastest mode from one workload's stage totals, given in
+/// [`TransferMode::ALL`] order. Ties go to the earlier mode, as in the
+/// static advisor's ranking.
+fn fastest_mode(totals: &[Nanos]) -> TransferMode {
+    TransferMode::ALL
+        .into_iter()
+        .zip(totals)
+        .min_by_key(|&(_, &total)| total)
+        .map(|(mode, _)| mode)
+        .expect("a total per mode")
+}
+
 /// The resilient walk's candidate order: `primary`, then at most
 /// `max_retries` peers with the shortest GPU queues, ordered by
 /// `(gpu_free, index)`. That key is a total order, so picking the prefix
@@ -923,7 +929,6 @@ mod tests {
                 gpu_free: Nanos::from_millis(ms),
                 committed: 0,
                 capacity: 1 << 30,
-                inflight: 0,
                 consecutive_failures: 0,
                 health: HealthState::Healthy,
             })
@@ -953,6 +958,24 @@ mod tests {
         for max_retries in [0, 1, 4] {
             assert_eq!(retry_order(0, &one, max_retries), vec![0]);
         }
+    }
+
+    #[test]
+    fn fastest_mode_breaks_ties_in_paper_order() {
+        let ms = |v: [u64; 5]| v.map(Nanos::from_millis);
+        // Strict minimum wins wherever it sits.
+        assert_eq!(
+            fastest_mode(&ms([5, 4, 3, 2, 1])),
+            TransferMode::UvmPrefetchAsync
+        );
+        assert_eq!(fastest_mode(&ms([9, 1, 9, 9, 9])), TransferMode::Async);
+        // Ties go to the earlier mode in `TransferMode::ALL`.
+        assert_eq!(fastest_mode(&ms([3, 3, 3, 3, 3])), TransferMode::Standard);
+        assert_eq!(fastest_mode(&ms([4, 4, 2, 2, 2])), TransferMode::Uvm);
+        assert_eq!(
+            fastest_mode(&ms([9, 9, 9, 1, 1])),
+            TransferMode::UvmPrefetch
+        );
     }
 
     #[test]

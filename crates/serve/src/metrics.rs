@@ -30,6 +30,7 @@
 use hetsim_counters::report::Table;
 use hetsim_engine::time::Nanos;
 use hetsim_runtime::ChaosOverhead;
+use hetsim_trace::json::quote;
 
 /// Number of sub-bucket bits per power of two in [`StreamingHistogram`]:
 /// 128 sub-buckets per octave.
@@ -452,7 +453,7 @@ impl PolicyReport {
                 format!(
                     "{{\"device\": {}, \"completed\": {}, \"busy_ns\": {}, \
                      \"utilization\": {:.6}, \"peak_committed_bytes\": {}}}",
-                    json_string(&d.device),
+                    quote(&d.device),
                     d.completed,
                     d.busy.as_nanos(),
                     d.utilization,
@@ -470,8 +471,8 @@ impl PolicyReport {
              \"latency\": {{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \
              \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}}}, \
              \"devices\": [{}]}}",
-            json_string(&self.policy),
-            json_string(&self.mix),
+            quote(&self.policy),
+            quote(&self.mix),
             self.rate_rps,
             self.seed,
             self.offered,
@@ -548,24 +549,6 @@ impl ServeReport {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-/// Minimal JSON string quoting (policy/mix/device names are printable
-/// ASCII, but quotes and backslashes must still escape).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -650,11 +633,6 @@ mod tests {
     #[should_panic(expected = "out of [0,100]")]
     fn percentile_rejects_out_of_range() {
         let _ = percentile(&[1], 101.0);
-    }
-
-    #[test]
-    fn json_escapes_quotes() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
     }
 
     #[test]

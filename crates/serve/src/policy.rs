@@ -14,7 +14,7 @@
 //! from the serve seed and the request id), so a policy decision depends
 //! only on `(policy, view, request, seed)` and never on thread timing.
 //!
-//! Four implementations ship:
+//! Five implementations ship:
 //!
 //! * [`ModePacking`] — the fleet is split into an *explicit* lane
 //!   (async memcpy) and a *managed* lane (UVM + prefetch); requests are
@@ -27,10 +27,9 @@
 //!   rate; the policy walks healthy devices in load order, paying
 //!   recovery backoff plus the peer-link cost of re-staging the working
 //!   set on each hop, and quarantines devices that fail repeatedly.
-//! * [`ModeAdvisor`] — each request runs in the transfer mode the static
-//!   performance advisor predicts fastest for its workload × size, on
-//!   the least-loaded device with room; the serving-layer consumer of
-//!   the `SAN-P*` analysis.
+//! * [`ModeAdvisor`] — each request runs in the transfer mode whose
+//!   measured base run is fastest for its workload ([`FleetView::fastest`]),
+//!   on the least-loaded device with room.
 //! * [`SloDeadline`] — SLO-aware admission: sheds by *predicted deadline
 //!   miss* (memoized cost estimates plus current queue depth), and walks
 //!   the overload degradation ladder ([`ModeCosts::LADDER`]) to cheaper
@@ -56,8 +55,6 @@ pub struct DeviceView {
     pub committed: u64,
     /// HBM capacity, bytes.
     pub capacity: u64,
-    /// Requests currently in flight.
-    pub inflight: usize,
     /// Consecutive failed placement attempts (chaos bookkeeping).
     pub consecutive_failures: u32,
     /// Lifecycle health at the deciding instant. Always
@@ -79,6 +76,10 @@ pub struct FleetView<'a> {
     /// [`JobStages`] per rung of the degradation ladder — what
     /// deadline-aware policies predict completions with.
     pub costs: ModeCosts,
+    /// The deciding request's fastest transfer mode: the argmin of its
+    /// workload's noise-free base runs on the fleet's device, fixed when
+    /// the fleet is built.
+    pub fastest: TransferMode,
 }
 
 impl FleetView<'_> {
@@ -131,14 +132,6 @@ impl ModeCosts {
             cpu: Nanos::ZERO,
             gpu: Nanos::ZERO,
         })
-    }
-
-    /// The estimate for `mode`, if it is on the ladder.
-    pub fn get(&self, mode: TransferMode) -> Option<JobStages> {
-        self.entries
-            .iter()
-            .find(|(m, _)| *m == mode)
-            .map(|&(_, s)| s)
     }
 
     /// Ladder rungs with their estimates, preferred mode first.
@@ -483,24 +476,13 @@ impl PlacementPolicy for ChaosFailover {
         rng: &mut SimRng,
     ) -> Placement {
         // Healthy devices in load order; quarantined ones — by failure
-        // streak or by lifecycle state — only as a last resort (appended
-        // so the walk still terminates fleet-wide).
+        // streak or by lifecycle state — only as a last resort (sorted
+        // behind the healthy ones, so the walk still terminates
+        // fleet-wide). The index makes the key a total order.
         let sidelined = |d: &DeviceView| {
             d.consecutive_failures >= self.quarantine_threshold || !d.health.accepts_work()
         };
-        let mut order: Vec<usize> = view
-            .devices
-            .iter()
-            .filter(|d| !sidelined(d))
-            .map(|d| d.index)
-            .collect();
-        let quarantined: Vec<usize> = view
-            .devices
-            .iter()
-            .filter(|d| sidelined(d))
-            .map(|d| d.index)
-            .collect();
-        order.extend(quarantined);
+        let mut order: Vec<usize> = (0..view.devices.len()).collect();
         order.sort_by_key(|&d| {
             let dev = &view.devices[d];
             (sidelined(dev), dev.committed, d)
@@ -543,59 +525,19 @@ impl ServingPolicy for ChaosFailover {
 // ModeAdvisor
 // ---------------------------------------------------------------------------
 
-/// Advisor-driven placement: each request runs in the transfer mode the
-/// static performance advisor (`hetsim_sanitizer::advise`, reached through
-/// `hetsim::verify::advise_program`) predicts fastest for its workload ×
-/// size on the paper's device model — no simulation, the prediction is
-/// closed-form. Requests land on the least-committed device with room for
-/// the working set, so the fleet is one shared pool with per-request mode
-/// selection rather than static mode lanes.
+/// Measured-fastest placement: each request runs in [`FleetView::fastest`],
+/// the transfer mode whose noise-free base run is fastest for its workload
+/// on the fleet's own device. Requests land on the least-committed device
+/// with room for the working set, so the fleet is one shared pool with
+/// per-request mode selection rather than static mode lanes.
 ///
-/// Advice is memoized per `(workload, size)` behind a mutex; the cache is
-/// a pure lookup table of a deterministic function, so placement decisions
-/// remain a function of `(view, request)` alone.
-pub struct ModeAdvisor {
-    /// The device model predictions are priced against.
-    pub device: hetsim_runtime::Device,
-    cache: std::sync::Mutex<
-        std::collections::HashMap<(&'static str, hetsim_workloads::InputSize), TransferMode>,
-    >,
-}
-
-impl std::fmt::Debug for ModeAdvisor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModeAdvisor")
-            .field("device", &self.device.name)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for ModeAdvisor {
-    fn default() -> Self {
-        ModeAdvisor {
-            device: hetsim_runtime::Device::a100_epyc(),
-            cache: std::sync::Mutex::new(std::collections::HashMap::new()),
-        }
-    }
-}
+/// The static performance advisor (`hetsim advise`) ranks the same mode
+/// first for every registry workload; `tests/serve_layer.rs` checks that
+/// agreement.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ModeAdvisor;
 
 impl ModeAdvisor {
-    /// The advisor's predicted-fastest mode for the request's workload ×
-    /// size, memoized. Unknown workload names (impossible for registry
-    /// arrivals) fall back to the explicit standard mode.
-    fn best_mode(&self, req: &Request) -> TransferMode {
-        let key = (req.workload, req.size);
-        if let Some(&mode) = self.cache.lock().expect("advice cache").get(&key) {
-            return mode;
-        }
-        let mode = match hetsim_workloads::suite::by_name(req.workload, req.size) {
-            Some(w) => hetsim::verify::advise_program(&w, &self.device).best().mode,
-            None => TransferMode::Standard,
-        };
-        self.cache.lock().expect("advice cache").insert(key, mode);
-        mode
-    }
-
     /// Least-committed device that still fits `footprint` (ties break to
     /// the lowest index).
     fn fittest(&self, footprint: u64, view: &FleetView<'_>) -> Option<usize> {
@@ -628,7 +570,7 @@ impl AdmissionPolicy for ModeAdvisor {
 impl PlacementPolicy for ModeAdvisor {
     fn place(
         &self,
-        req: &Request,
+        _req: &Request,
         footprint: u64,
         view: &FleetView<'_>,
         _rng: &mut SimRng,
@@ -636,7 +578,7 @@ impl PlacementPolicy for ModeAdvisor {
         let device = self
             .fittest(footprint, view)
             .expect("place called without admission");
-        Placement::clean(device, self.best_mode(req))
+        Placement::clean(device, view.fastest)
     }
 }
 
@@ -826,7 +768,7 @@ impl PolicyKind {
             PolicyKind::ModePacking => Box::new(ModePacking::default()),
             PolicyKind::UvmSpillover => Box::new(UvmSpillover::default()),
             PolicyKind::ChaosFailover => Box::new(ChaosFailover::default()),
-            PolicyKind::ModeAdvisor => Box::new(ModeAdvisor::default()),
+            PolicyKind::ModeAdvisor => Box::new(ModeAdvisor),
             PolicyKind::SloDeadline => Box::new(SloDeadline),
         }
     }
@@ -845,11 +787,21 @@ mod tests {
                 gpu_free: Nanos::ZERO,
                 committed: 0,
                 capacity,
-                inflight: 0,
                 consecutive_failures: 0,
                 health: HealthState::Healthy,
             })
             .collect()
+    }
+
+    /// An idle-cost view: every estimate zero, standard the fastest mode.
+    fn fleet_view<'a>(devices: &'a [DeviceView], topology: &'a ClusterTopology) -> FleetView<'a> {
+        FleetView {
+            now: Nanos::ZERO,
+            devices,
+            topology,
+            costs: ModeCosts::zero(),
+            fastest: TransferMode::Standard,
+        }
     }
 
     fn req(id: u64) -> Request {
@@ -872,12 +824,7 @@ mod tests {
         let mut devs = devices(4, 100);
         devs[0].committed = 40;
         devs[1].committed = 60;
-        let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
-            costs: ModeCosts::zero(),
-        };
+        let view = fleet_view(&devs, &topo);
         let p = ModePacking {
             managed_threshold: 50,
             ..ModePacking::default()
@@ -899,12 +846,7 @@ mod tests {
         let topo = ClusterTopology::nvlink_mesh(2);
         let mut devs = devices(2, 100);
         devs[0].committed = 95; // explicit lane = {0}
-        let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
-            costs: ModeCosts::zero(),
-        };
+        let view = fleet_view(&devs, &topo);
         let p = ModePacking {
             managed_threshold: 50,
             ..ModePacking::default()
@@ -923,12 +865,7 @@ mod tests {
     fn single_device_fleet_serves_both_lanes() {
         let topo = ClusterTopology::single();
         let devs = devices(1, 100);
-        let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
-            costs: ModeCosts::zero(),
-        };
+        let view = fleet_view(&devs, &topo);
         let p = ModePacking {
             managed_threshold: 50,
             ..ModePacking::default()
@@ -947,12 +884,7 @@ mod tests {
         };
         devs[0].committed = 150;
         devs[1].committed = 100;
-        let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
-            costs: ModeCosts::zero(),
-        };
+        let view = fleet_view(&devs, &topo);
         // 250 committed of 200 capacity: below the 300 limit.
         assert_eq!(p.admit(&req(0), 40, &view, &mut rng(0)), Admission::Accept);
         assert_eq!(
@@ -969,12 +901,7 @@ mod tests {
         let mut devs = devices(2, 100);
         devs[0].committed = 120;
         devs[1].committed = 80;
-        let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
-            costs: ModeCosts::zero(),
-        };
+        let view = fleet_view(&devs, &topo);
         let p = UvmSpillover {
             thrash_penalty: 4.0,
             ..UvmSpillover::default()
@@ -986,12 +913,7 @@ mod tests {
         // An in-capacity placement carries no penalty.
         let mut fits = devices(2, 100);
         fits[0].committed = 50;
-        let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &fits,
-            topology: &topo,
-            costs: ModeCosts::zero(),
-        };
+        let view = fleet_view(&fits, &topo);
         assert_eq!(p.place(&req(1), 10, &view, &mut rng(1)).gpu_scale, 1.0);
     }
 
@@ -999,12 +921,7 @@ mod tests {
     fn failover_is_deterministic_and_pays_for_hops() {
         let topo = ClusterTopology::nvlink_mesh(4);
         let devs = devices(4, 100);
-        let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
-            costs: ModeCosts::zero(),
-        };
+        let view = fleet_view(&devs, &topo);
         let p = ChaosFailover {
             fault_rate: 0.9, // almost always hop
             ..ChaosFailover::default()
@@ -1022,12 +939,7 @@ mod tests {
         let topo = ClusterTopology::nvlink_mesh(2);
         let mut devs = devices(2, 100);
         devs[0].consecutive_failures = 5; // quarantined
-        let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
-            costs: ModeCosts::zero(),
-        };
+        let view = fleet_view(&devs, &topo);
         let p = ChaosFailover {
             fault_rate: 0.0, // first healthy attempt succeeds
             ..ChaosFailover::default()
@@ -1042,12 +954,7 @@ mod tests {
     fn failover_forces_through_when_everything_fails() {
         let topo = ClusterTopology::nvlink_mesh(2);
         let devs = devices(2, 100);
-        let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
-            costs: ModeCosts::zero(),
-        };
+        let view = fleet_view(&devs, &topo);
         let p = ChaosFailover {
             fault_rate: 1.0,
             ..ChaosFailover::default()
@@ -1063,32 +970,28 @@ mod tests {
     }
 
     #[test]
-    fn mode_advisor_places_predicted_best_mode_on_least_loaded_fit() {
+    fn mode_advisor_places_fastest_mode_on_least_loaded_fit() {
         let topo = ClusterTopology::nvlink_mesh(2);
         let mut devs = devices(2, 100 << 20);
         devs[0].committed = 50 << 20;
-        let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
-            costs: ModeCosts::zero(),
-        };
-        let p = ModeAdvisor::default();
-        let r = req(0); // vector_seq @ tiny
-        let placed = p.place(&r, 1 << 20, &view, &mut rng(0));
-        assert_eq!(placed.device, 1, "least committed wins");
-        assert_eq!(placed.queue_delay, Nanos::ZERO);
-        assert_eq!(placed.gpu_scale, 1.0);
-        // The mode is the advisor's pick for this workload, and the
-        // memoized second call agrees.
-        let w = hetsim_workloads::suite::by_name(r.workload, r.size).unwrap();
-        let advised = hetsim::verify::advise_program(&w, &p.device).best().mode;
-        assert_eq!(placed.mode, advised);
-        let again = p.place(&r, 1 << 20, &view, &mut rng(0));
-        assert_eq!(again.mode, advised);
+        let p = ModeAdvisor;
+        let r = req(0);
+        // The mode is whatever the view names fastest, whatever the
+        // ladder costs say.
+        for fastest in TransferMode::ALL {
+            let view = FleetView {
+                fastest,
+                ..fleet_view(&devs, &topo)
+            };
+            let placed = p.place(&r, 1 << 20, &view, &mut rng(0));
+            assert_eq!(placed.device, 1, "least committed wins");
+            assert_eq!(placed.mode, fastest);
+            assert_eq!(placed.queue_delay, Nanos::ZERO);
+            assert_eq!(placed.gpu_scale, 1.0);
+        }
         // Nothing fits: shed, not panic.
         assert_eq!(
-            p.admit(&r, 200 << 20, &view, &mut rng(0)),
+            p.admit(&r, 200 << 20, &fleet_view(&devs, &topo), &mut rng(0)),
             Admission::Shed {
                 reason: "no_capacity"
             }
@@ -1100,12 +1003,7 @@ mod tests {
         let topo = ClusterTopology::nvlink_mesh(2);
         let mut devs = devices(2, 100);
         devs[0].health = HealthState::Draining;
-        let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
-            costs: ModeCosts::zero(),
-        };
+        let view = fleet_view(&devs, &topo);
         let p = ChaosFailover {
             fault_rate: 0.0,
             ..ChaosFailover::default()
@@ -1127,10 +1025,8 @@ mod tests {
             gpu: Nanos::from_micros(10),
         });
         let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
             costs,
+            ..fleet_view(&devs, &topo)
         };
         let p = SloDeadline;
         assert_eq!(
@@ -1142,10 +1038,8 @@ mod tests {
         // An idle fleet admits and places in the preferred rung.
         let idle = devices(2, 100);
         let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &idle,
-            topology: &topo,
             costs,
+            ..fleet_view(&idle, &topo)
         };
         assert_eq!(p.admit(&req(1), 10, &view, &mut rng(1)), Admission::Accept);
         let placed = p.place(&req(1), 10, &view, &mut rng(1));
@@ -1167,10 +1061,8 @@ mod tests {
             },
         });
         let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
             costs,
+            ..fleet_view(&devs, &topo)
         };
         let p = SloDeadline;
         assert_eq!(p.admit(&req(0), 10, &view, &mut rng(0)), Admission::Accept);
@@ -1192,10 +1084,8 @@ mod tests {
             gpu: Nanos::from_micros(1),
         });
         let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
             costs,
+            ..fleet_view(&devs, &topo)
         };
         let p = SloDeadline;
         assert_eq!(p.admit(&req(0), 10, &view, &mut rng(0)), Admission::Accept);
@@ -1204,10 +1094,8 @@ mod tests {
         // No device admits work at all: shed by capacity, not deadline.
         devs[1].health = HealthState::Draining;
         let view = FleetView {
-            now: Nanos::ZERO,
-            devices: &devs,
-            topology: &topo,
             costs,
+            ..fleet_view(&devs, &topo)
         };
         assert_eq!(
             p.admit(&req(1), 10, &view, &mut rng(1)),

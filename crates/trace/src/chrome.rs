@@ -26,8 +26,9 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::event::{EventKind, TraceEvent};
+use crate::json::{escape, number};
 use crate::label::LabelSet;
-use crate::sink::{escape, number, StreamSummary, TraceSink};
+use crate::sink::{StreamSummary, TraceSink};
 use crate::trace::{Trace, Track};
 use std::fmt::Write as _;
 use std::io::{self, Write};

@@ -58,6 +58,7 @@ pub mod chrome;
 pub mod config;
 pub mod csv;
 pub mod event;
+pub mod json;
 pub mod label;
 pub mod metrics;
 pub mod recorder;

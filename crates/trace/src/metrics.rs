@@ -12,8 +12,8 @@
 //! [`Category::Counter`]: crate::Category::Counter
 
 use crate::event::EventKind;
+use crate::json::{escape, number};
 use crate::label::Dim;
-use crate::sink::{escape, number};
 use crate::trace::Trace;
 use std::collections::BTreeMap;
 

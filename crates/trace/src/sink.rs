@@ -19,6 +19,7 @@
 //! [`Trace::to_chrome_json`]: crate::Trace::to_chrome_json
 
 use crate::event::{EventKind, TraceEvent};
+use crate::json::{escape, number};
 use crate::label::LabelSet;
 use crate::trace::Track;
 use std::io::{self, Write};
@@ -193,37 +194,6 @@ pub(crate) fn push_labels_object(out: &mut String, labels: LabelSet, symbols: &[
         out.push('"');
     }
     out.push('}');
-}
-
-/// Deterministic JSON number formatting for counter values. Finite floats
-/// use Rust's shortest round-trip `Display`; non-finite values (invalid
-/// JSON) degrade to 0.
-pub(crate) fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-pub(crate) fn escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A clonable in-memory byte buffer implementing [`std::io::Write`].

@@ -117,3 +117,30 @@ fn fresh_fleets_reproduce_the_same_outcome() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn mode_advisor_runs_the_static_advisors_pick() {
+    // `mode_advisor` places each request in its workload's measured
+    // fastest mode; the static advisor must rank that same mode first on
+    // the fleet's device, for every catalog workload.
+    let device = hetsim_runtime::Device::a100_epyc();
+    let catalog = ArrivalPlan::full_catalog();
+    for size in [InputSize::Tiny, InputSize::Small] {
+        let fleet = Fleet::nvlink(2, size);
+        let outcome = fleet.serve(&ServeConfig {
+            policy: PolicyKind::ModeAdvisor,
+            mix: ArrivalMix::Poisson { rate_rps: 5.0 },
+            seed: 23,
+            requests: 300,
+        });
+        let mut advised = std::collections::BTreeMap::new();
+        for c in &outcome.completed {
+            let mode = *advised.entry(c.workload).or_insert_with(|| {
+                let w = hetsim_workloads::suite::by_name(c.workload, size).unwrap();
+                hetsim::verify::advise_program(&w, &device).best().mode
+            });
+            assert_eq!(c.mode, mode, "{} at {}", c.workload, size.name());
+        }
+        assert_eq!(advised.len(), catalog.len(), "every workload was served");
+    }
+}
