@@ -245,10 +245,10 @@ impl KernelExecutor {
                 }
 
                 for a in &stream_buf {
-                    self.replay_stream(a, style, &mut l1, &mut l2, &mut acc, &mut inst, line);
+                    Self::replay_stream(a, style, &mut l1, &mut l2, &mut acc, &mut inst, line);
                 }
                 for a in &local_buf {
-                    self.replay_local(a, style, &mut l1, &mut l2, &mut acc, &mut inst, line);
+                    Self::replay_local(a, style, &mut l1, &mut l2, &mut acc, &mut inst, line);
                 }
 
                 let ops = kernel.tile_ops();
@@ -288,8 +288,7 @@ impl KernelExecutor {
                 acc.stream_l2_bytes += warm;
             }
 
-            let block_cycles =
-                self.block_cycles(&acc, style, env, tiles, active_warps, resident_eff, line);
+            let block_cycles = self.block_cycles(&acc, style, env, tiles, active_warps, line);
             sum_block_cycles += block_cycles;
             if hetsim_trace::session::enabled() {
                 let dur = cfg.clock.cycles_f64_to_nanos(block_cycles).as_nanos();
@@ -366,9 +365,7 @@ impl KernelExecutor {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn replay_stream(
-        &self,
         a: &MemAccess,
         style: KernelStyle,
         l1: &mut Cache,
@@ -415,9 +412,7 @@ impl KernelExecutor {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn replay_local(
-        &self,
         a: &MemAccess,
         style: KernelStyle,
         l1: &mut Cache,
@@ -463,7 +458,6 @@ impl KernelExecutor {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn block_cycles(
         &self,
         acc: &BlockAccum,
@@ -471,11 +465,9 @@ impl KernelExecutor {
         env: &ExecEnv,
         tiles: u64,
         active_warps: f64,
-        resident_eff: f64,
         line: f64,
     ) -> f64 {
         let cfg = &self.config;
-        let _ = resident_eff;
 
         // Fetch pipe.
         let fetch = match style {

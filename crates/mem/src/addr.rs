@@ -25,7 +25,8 @@ impl Addr {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `block` is zero.
+    /// Panics if `block` is zero (integer division by zero panics in every
+    /// build profile).
     pub const fn block(self, block: u64) -> u64 {
         self.0 / block
     }

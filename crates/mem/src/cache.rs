@@ -5,6 +5,10 @@
 //! memory) and another the device-wide L2. The model is functional, not
 //! cycle-accurate: it classifies each access as hit or miss and maintains
 //! the [`CacheCounters`] behind the paper's Fig 10.
+//!
+//! The replacement state is a flat, most-recently-used-ordered array of
+//! line numbers per set (`LruSets`), which the [`Tlb`](crate::tlb::Tlb)
+//! reuses over page numbers: one set-associative LRU for the crate.
 
 use crate::addr::{AccessKind, Addr};
 use hetsim_counters::CacheCounters;
@@ -47,11 +51,77 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LineState {
-    tag: u64,
-    last_use: u64,
-    dirty: bool,
+/// The set-associative LRU core shared by [`Cache`] and
+/// [`Tlb`](crate::tlb::Tlb).
+///
+/// Keys are full block numbers (line or page numbers); the set is
+/// `key % sets`, and keeping the whole key makes a separate tag
+/// unnecessary. All ways live in one flat array, `ways` slots per set,
+/// and each set keeps its first `fill` slots in most- to least-recently
+/// used order: a hit moves its way to the front, a miss inserts at the
+/// front and, when the set is full, drops the last way. That order is
+/// exact LRU without a clock or per-line stamps.
+#[derive(Debug, Clone)]
+pub(crate) struct LruSets {
+    keys: Vec<u64>,
+    fill: Vec<u32>,
+    sets: u64,
+    ways: usize,
+}
+
+impl LruSets {
+    /// An empty structure of `sets` sets of `ways` ways each.
+    pub(crate) fn new(sets: u64, ways: u32) -> Self {
+        assert!(sets > 0 && ways > 0, "zero LRU dimension");
+        let ways = ways as usize;
+        LruSets {
+            keys: vec![0; sets as usize * ways],
+            fill: vec![0; sets as usize],
+            sets,
+            ways,
+        }
+    }
+
+    /// Touches `key`, making it the set's most recently used way; returns
+    /// `true` if it was resident.
+    #[inline]
+    pub(crate) fn access(&mut self, key: u64) -> bool {
+        let set = (key % self.sets) as usize;
+        let fill = self.fill[set] as usize;
+        let base = set * self.ways;
+        let ways = &mut self.keys[base..base + self.ways];
+        match ways[..fill].iter().position(|&k| k == key) {
+            Some(pos) => {
+                ways.copy_within(..pos, 1);
+                ways[0] = key;
+                true
+            }
+            None => {
+                let kept = fill.min(self.ways - 1);
+                ways.copy_within(..kept, 1);
+                ways[0] = key;
+                self.fill[set] = (kept + 1) as u32;
+                false
+            }
+        }
+    }
+
+    /// Whether `key` is resident, without touching the LRU order.
+    pub(crate) fn contains(&self, key: u64) -> bool {
+        let set = (key % self.sets) as usize;
+        let base = set * self.ways;
+        self.keys[base..base + self.fill[set] as usize].contains(&key)
+    }
+
+    /// Number of resident keys.
+    pub(crate) fn len(&self) -> usize {
+        self.fill.iter().map(|&f| f as usize).sum()
+    }
+
+    /// Empties every set.
+    pub(crate) fn clear(&mut self) {
+        self.fill.fill(0);
+    }
 }
 
 /// A set-associative LRU cache.
@@ -70,8 +140,8 @@ struct LineState {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<LineState>>,
-    clock: u64,
+    line_shift: u32,
+    lines: LruSets,
     counters: CacheCounters,
 }
 
@@ -80,8 +150,8 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         Cache {
             config,
-            sets: vec![Vec::with_capacity(config.ways as usize); config.sets() as usize],
-            clock: 0,
+            line_shift: config.line.trailing_zeros(),
+            lines: LruSets::new(config.sets(), config.ways),
             counters: CacheCounters::new(),
         }
     }
@@ -93,39 +163,9 @@ impl Cache {
 
     /// Performs one access; returns `true` on hit.
     ///
-    /// Misses allocate (write-allocate policy); stores mark the line dirty.
+    /// Misses allocate (write-allocate policy) for loads and stores alike.
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> bool {
-        self.clock += 1;
-        let line_no = addr.block(self.config.line);
-        let set_idx = (line_no % self.config.sets()) as usize;
-        let tag = line_no / self.config.sets();
-        let set = &mut self.sets[set_idx];
-
-        let hit = if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
-            line.last_use = self.clock;
-            if !kind.is_load() {
-                line.dirty = true;
-            }
-            true
-        } else {
-            let new_line = LineState {
-                tag,
-                last_use: self.clock,
-                dirty: !kind.is_load(),
-            };
-            if set.len() < self.config.ways as usize {
-                set.push(new_line);
-            } else {
-                // Evict the least recently used way.
-                let victim = set
-                    .iter_mut()
-                    .min_by_key(|l| l.last_use)
-                    .expect("non-empty full set");
-                *victim = new_line;
-            }
-            false
-        };
-
+        let hit = self.lines.access(addr.as_u64() >> self.line_shift);
         match kind {
             AccessKind::Load => self.counters.record_load(hit),
             AccessKind::Store => self.counters.record_store(hit),
@@ -136,15 +176,12 @@ impl Cache {
     /// Probes whether `addr` is resident without touching LRU state or
     /// counters.
     pub fn contains(&self, addr: Addr) -> bool {
-        let line_no = addr.block(self.config.line);
-        let set_idx = (line_no % self.config.sets()) as usize;
-        let tag = line_no / self.config.sets();
-        self.sets[set_idx].iter().any(|l| l.tag == tag)
+        self.lines.contains(addr.as_u64() >> self.line_shift)
     }
 
     /// Number of currently resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lines.len()
     }
 
     /// Accumulated hit/miss counters.
@@ -154,9 +191,7 @@ impl Cache {
 
     /// Empties the cache (e.g. between kernels) without resetting counters.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.lines.clear();
     }
 
     /// Resets the counters without touching residency.

@@ -9,7 +9,8 @@
 //!
 //! * [`addr`] — typed addresses and memory accesses;
 //! * [`cache`] — a set-associative, LRU, write-allocate cache used for both
-//!   the per-SM unified L1/texture cache and the device-wide L2;
+//!   the per-SM unified L1/texture cache and the device-wide L2; its flat
+//!   LRU core also backs the UVM [`tlb`];
 //! * [`carveout`] — the Ampere L1-cache/shared-memory partition (Fig 13's
 //!   swept parameter);
 //! * [`shared`] — per-SM shared memory with block-granular allocation;

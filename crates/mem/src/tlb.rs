@@ -12,6 +12,7 @@
 //! miss count × the page-walk cost.
 
 use crate::addr::Addr;
+use crate::cache::LruSets;
 
 /// TLB geometry and costs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,8 +63,8 @@ impl Default for TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    sets: Vec<Vec<(u64, u64)>>, // (page tag, last_use)
-    clock: u64,
+    page_shift: u32,
+    pages: LruSets,
     hits: u64,
     misses: u64,
 }
@@ -82,11 +83,10 @@ impl Tlb {
             "entries must be a multiple of ways"
         );
         assert!(config.page_bytes.is_power_of_two(), "page size must be 2^n");
-        let sets = (config.entries / config.ways) as usize;
         Tlb {
             config,
-            sets: vec![Vec::with_capacity(config.ways as usize); sets],
-            clock: 0,
+            page_shift: config.page_bytes.trailing_zeros(),
+            pages: LruSets::new((config.entries / config.ways) as u64, config.ways),
             hits: 0,
             misses: 0,
         }
@@ -99,27 +99,13 @@ impl Tlb {
 
     /// Translates one access; returns `true` on TLB hit.
     pub fn access(&mut self, addr: Addr) -> bool {
-        self.clock += 1;
-        let page = addr.block(self.config.page_bytes);
-        let n_sets = self.sets.len() as u64;
-        let set = &mut self.sets[(page % n_sets) as usize];
-        let tag = page / n_sets;
-        if let Some(e) = set.iter_mut().find(|(t, _)| *t == tag) {
-            e.1 = self.clock;
+        let hit = self.pages.access(addr.as_u64() >> self.page_shift);
+        if hit {
             self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        if set.len() < self.config.ways as usize {
-            set.push((tag, self.clock));
         } else {
-            let victim = set
-                .iter_mut()
-                .min_by_key(|(_, lu)| *lu)
-                .expect("full set non-empty");
-            *victim = (tag, self.clock);
+            self.misses += 1;
         }
-        false
+        hit
     }
 
     /// Hits so far.
@@ -149,9 +135,7 @@ impl Tlb {
 
     /// Clears residency and counters (between kernels).
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.pages.clear();
         self.hits = 0;
         self.misses = 0;
     }

@@ -233,6 +233,14 @@ cargo run --release --quiet --example oversub_golden > "$out/oversub.golden"
 cmp scripts/golden/oversub.golden "$out/oversub.golden" \
   || { echo "FAIL: oversubscription reports differ from scripts/golden/oversub.golden"; exit 1; }
 
+echo "==> executor golden gate (per-kernel L1/L2/TLB counters vs golden)"
+# The perfbench digests pin only timings; this pins the executor's raw
+# cache and TLB hit/miss counters, HBM traffic and instruction mix for
+# every registered kernel in all three styles under three environments.
+cargo run --release --quiet --example exec_golden > "$out/exec.golden"
+cmp scripts/golden/exec.golden "$out/exec.golden" \
+  || { echo "FAIL: executor results differ from scripts/golden/exec.golden"; exit 1; }
+
 echo "==> benchmark output gate (perfbench harness tests + seed-1 digests vs golden)"
 # The repository benchmark's output digests are a pure function of the
 # seed; a change that alters any served or simulated figure moves them.
